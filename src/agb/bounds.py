@@ -4,6 +4,10 @@ Everything here is exact integer combinatorics over an :class:`~agb.hstar.HStar`
 the per-index sets ``(m_i + H) intersect H*``, the running-minimum distance
 bound, the Goppa comparison, the dual-side order bound via A-sets, improved
 code profiles, and the generalized-Hamming-weight extension.
+
+The profile counts come from the shifted-gap identity in O(n*g) time and
+O(n + g) memory; the sets themselves are built one index at a time, only
+where the generalized-weight search or a caller asks for them.
 """
 
 from functools import lru_cache
@@ -23,17 +27,18 @@ DEFAULT_NODE_CAP = 10_000_000
 class LambdaProfile:
     """Counts and contents of the sets (m_i + H) intersect H* for i = 1..n.
 
-    ``counts[i-1]`` is the cardinality at index i; the sets themselves are
-    kept as bitmasks over member positions so that union cardinalities (needed
-    for the generalized-weight bound) are a popcount away.
+    ``counts[i-1]`` is the cardinality at index i.  The set at index i is
+    built on the first ``mask(i)`` or ``lambda_set(i)`` call, as a bitmask
+    over member positions so that union cardinalities (needed for the
+    generalized-weight bound) are a popcount away, and cached from then on.
     """
 
     __slots__ = ("hstar", "counts", "_masks", "_dstar")
 
-    def __init__(self, hstar: HStar, counts: np.ndarray, masks: tuple):
+    def __init__(self, hstar: HStar, counts: np.ndarray):
         self.hstar = hstar
         self.counts = counts
-        self._masks = masks
+        self._masks = {}
         self._dstar = np.minimum.accumulate(counts)
 
     def count(self, i: int) -> int:
@@ -42,15 +47,23 @@ class LambdaProfile:
 
     def lambda_set(self, i: int) -> frozenset:
         """The actual set at index i, as member values."""
-        _check_index(self.hstar, i)
-        mask = self._masks[i - 1]
+        mask = self.mask(i)
         members = self.hstar.members
-        return frozenset(members[j] for j in range(len(members))
+        return frozenset(members[j] for j in range(i - 1, len(members))
                          if (mask >> j) & 1)
 
     def mask(self, i: int) -> int:
+        """Bit j-1 is set iff m_j - m_i is a semigroup member."""
         _check_index(self.hstar, i)
-        return self._masks[i - 1]
+        mask = self._masks.get(i)
+        if mask is None:
+            members = self.hstar.members_array()
+            shifts = members[i - 1:] - members[i - 1]
+            ok = self.hstar.semigroup.membership_mask(int(shifts[-1]))[shifts]
+            packed = np.packbits(ok, bitorder="little")
+            mask = int.from_bytes(packed.tobytes(), "little") << (i - 1)
+            self._masks[i] = mask
+        return mask
 
     def d_star(self, i: int) -> int:
         _check_index(self.hstar, i)
@@ -62,15 +75,21 @@ class LambdaProfile:
 
 @lru_cache(maxsize=512)
 def lambda_profile(hs: HStar) -> LambdaProfile:
-    """Compute the full profile for a jump set."""
+    """Compute the profile counts of a jump set in O(n*g) time.
+
+    Of the n - i + 1 members m >= m_i, m - m_i is either a semigroup member
+    or a gap, so count(i) = (n - i + 1) - #((m_i + gaps) intersect H*).  One
+    vectorised pass per gap over a membership vector of H* gives the counts.
+    """
     members = hs.members_array()
-    mask = hs.semigroup.membership_mask(int(members[-1]))
-    diff = members[None, :] - members[:, None]
-    ok = (diff >= 0) & mask[np.maximum(diff, 0)]
-    counts = ok.sum(axis=1)
-    packed = np.packbits(ok, axis=1, bitorder="little")
-    masks = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
-    return LambdaProfile(hs, counts, masks)
+    gaps = hs.semigroup.gaps
+    in_hstar = np.zeros(int(members[-1]) + hs.semigroup.conductor + 1,
+                        dtype=bool)
+    in_hstar[members] = True
+    shifted_hits = np.zeros(hs.n, dtype=np.int64)
+    for gap in gaps:
+        shifted_hits += in_hstar[members + gap]
+    return LambdaProfile(hs, np.arange(hs.n, 0, -1) - shifted_hits)
 
 
 def lambda_star(hs: HStar, i: int) -> frozenset:
@@ -133,6 +152,10 @@ def a_set(S: NumericalSemigroup, h: int) -> frozenset:
 
 @lru_cache(maxsize=1 << 17)
 def _a_count(S: NumericalSemigroup, h: int) -> int:
+    # From h >= 2c - 1 on, t and h - t are never both gaps, so each of the g
+    # gaps removes exactly one t from [0, h] and one h - t.
+    if h >= 2 * S.conductor - 1:
+        return h + 1 - 2 * S.genus
     mask = S.membership_mask(h)
     return int((mask & mask[::-1]).sum())
 
@@ -140,7 +163,11 @@ def _a_count(S: NumericalSemigroup, h: int) -> int:
 def a_counts_by_index(hs: HStar) -> np.ndarray:
     """Vector of A-set cardinalities at each jump value m_1 .. m_n."""
     S = hs.semigroup
-    return np.array([_a_count(S, m) for m in hs.members], dtype=np.int64)
+    members = hs.members_array()
+    counts = members + 1 - 2 * S.genus
+    low = members < 2 * S.conductor - 1
+    counts[low] = [_a_count(S, int(h)) for h in members[low]]
+    return counts
 
 
 def d_ord(hs: HStar, i: int) -> int:
@@ -229,29 +256,36 @@ def ghw_bound(hs: HStar, i: int, r: int,
     order = sorted(range(i), key=lambda j: int(profile.counts[j]))
     masks = [masks[j] for j in order]
 
+    if r == i:
+        return _popcount_union(masks)
     # greedy incumbent: union of the r individually smallest sets
     best = _popcount_union(masks[:r])
-    nodes = 0
-
-    def dfs(pos: int, chosen: int, union: int) -> None:
-        nonlocal best, nodes
-        if chosen == r:
-            size = union.bit_count()
-            if size < best:
-                best = size
-            return
-        for j in range(pos, i - (r - chosen) + 1):
-            nodes += 1
-            if nodes > node_cap:
-                raise EnumerationCapExceeded(node_cap)
+    # Depth-first search with an explicit stack, one frame per chosen set:
+    # the union so far and an iterator over the candidates left at that depth.
+    # A frame is always run to its end, so charging all of its candidates to
+    # the node count when it is pushed counts what visiting them would.
+    nodes = i - r + 1
+    if nodes > node_cap:
+        raise EnumerationCapExceeded(node_cap)
+    stack = [(0, iter(range(nodes)))]
+    while stack:
+        union, candidates = stack[-1]
+        depth = len(stack)
+        for j in candidates:
             nxt = union | masks[j]
             if nxt.bit_count() >= best:
                 continue
-            dfs(j + 1, chosen + 1, nxt)
-
-    if r == i:
-        return _popcount_union(masks)
-    dfs(0, 0, 0)
+            if depth == r:
+                best = nxt.bit_count()
+                continue
+            stop = i - r + depth + 1
+            nodes += stop - j - 1
+            if nodes > node_cap:
+                raise EnumerationCapExceeded(node_cap)
+            stack.append((nxt, iter(range(j + 1, stop))))
+            break
+        else:
+            stack.pop()
     return best
 
 

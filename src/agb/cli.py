@@ -11,7 +11,7 @@ import sys
 
 from . import bounds as bounds_mod
 from . import evalcode, oracle
-from .errors import AgbError, SchemaError
+from .errors import AgbError, SchemaError, UnreadableFile
 from .generic_bound import CodeChain
 from .hstar import HStar
 from .semigroup import NumericalSemigroup
@@ -49,6 +49,8 @@ def _resolve_hstar(parser: argparse.ArgumentParser, args) -> HStar:
         n = int(obj["n"])
         payload = ([int(m) for m in obj["members"]] if mode == "explicit"
                    else [int(x) for x in obj["ell"]])
+    except OSError as exc:
+        raise UnreadableFile(f"cannot read {args.file}: {exc.strerror}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed input file {args.file}: {exc}") from exc
     if args.n is not None and args.n != n:

@@ -19,6 +19,14 @@ class GcdNotOne(AgbError):
     """gcd of the generators is not 1, so the complement would be infinite."""
 
 
+class NonPositiveGenerator(AgbError, ValueError):
+    """Every generator must be a positive integer."""
+
+
+class BeyondDeskScale(AgbError, ValueError):
+    """The Frobenius number is too large for an in-memory membership table."""
+
+
 # -- hstar -------------------------------------------------------------------
 
 class LengthTooSmall(AgbError):
@@ -103,6 +111,10 @@ class SchemaError(AgbError):
     """Input file does not match the documented schema."""
 
 
+class UnreadableFile(AgbError):
+    """Input file is missing or cannot be read."""
+
+
 class InvariantViolation(AgbError):
     """Structurally valid input violates a semantic invariant."""
 
@@ -122,6 +134,10 @@ class DependentInput(AgbError):
 
 
 # -- oracle ------------------------------------------------------------------
+
+class InvalidSearchBudget(AgbError, ValueError):
+    """A search budget, given or read from AGB_BUDGET_*, is not a positive integer."""
+
 
 class BudgetExceeded(AgbError):
     """Exhaustive search would exceed the configured budget."""

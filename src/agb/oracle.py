@@ -12,7 +12,8 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .errors import BudgetExceeded, InternalInvariantViolation
+from .errors import (BudgetExceeded, InternalInvariantViolation,
+                     InvalidSearchBudget)
 from .gf import FieldMatrix, rref
 from .generic_bound import CodeChain
 
@@ -28,18 +29,22 @@ class SearchBudget:
 
     def __post_init__(self):
         if self.max_codewords < 1 or self.max_subspaces < 1:
-            raise ValueError("budgets must be positive")
+            raise InvalidSearchBudget("budgets must be positive")
 
     @classmethod
     def from_env(cls) -> "SearchBudget":
         """Defaults overridable via AGB_BUDGET_CODEWORDS / AGB_BUDGET_SUBSPACES."""
         kw = {}
-        cw = os.environ.get("AGB_BUDGET_CODEWORDS")
-        if cw:
-            kw["max_codewords"] = int(cw)
-        sub = os.environ.get("AGB_BUDGET_SUBSPACES")
-        if sub:
-            kw["max_subspaces"] = int(sub)
+        for key, var in (("max_codewords", "AGB_BUDGET_CODEWORDS"),
+                         ("max_subspaces", "AGB_BUDGET_SUBSPACES")):
+            text = os.environ.get(var)
+            if not text:
+                continue
+            try:
+                kw[key] = int(text)
+            except ValueError:
+                raise InvalidSearchBudget(
+                    f"{var}={text!r} is not an integer") from None
         return cls(**kw)
 
 

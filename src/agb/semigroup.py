@@ -12,16 +12,23 @@ from math import gcd
 
 import numpy as np
 
-from .errors import EmptyGenerators, GcdNotOne
+from .errors import (BeyondDeskScale, EmptyGenerators, GcdNotOne,
+                     NonPositiveGenerator)
+
+MAX_FROBENIUS = 10 ** 7
 
 
 def _apery_distances(gens: tuple[int, ...]) -> list[int]:
     """Smallest member in each residue class modulo the least generator.
 
     Dijkstra over the residue graph (round-robin sieve): from a member v,
-    v + g is a member for every generator g.
+    v + g is a member for every generator g.  Distances settle in increasing
+    order, so the desk-scale guard fires on the first one past it.
     """
     a = gens[0]
+    # the Frobenius number is at least a - 1, since 1 .. a-1 are gaps
+    if a - 1 >= MAX_FROBENIUS:
+        raise _beyond_desk_scale()
     dist = [None] * a
     dist[0] = 0
     heap = [(0, 0)]
@@ -29,6 +36,8 @@ def _apery_distances(gens: tuple[int, ...]) -> list[int]:
         d, r = heapq.heappop(heap)
         if dist[r] is not None and d > dist[r]:
             continue
+        if d - a >= MAX_FROBENIUS:
+            raise _beyond_desk_scale()
         for g in gens:
             nd = d + g
             nr = nd % a
@@ -36,6 +45,13 @@ def _apery_distances(gens: tuple[int, ...]) -> list[int]:
                 dist[nr] = nd
                 heapq.heappush(heap, (nd, nr))
     return dist
+
+
+def _beyond_desk_scale() -> BeyondDeskScale:
+    return BeyondDeskScale(
+        f"Frobenius number of at least {MAX_FROBENIUS} is beyond desk scale; "
+        "membership tables would need hundreds of megabytes"
+    )
 
 
 class NumericalSemigroup:
@@ -69,17 +85,11 @@ class NumericalSemigroup:
         if not gens:
             raise EmptyGenerators("at least one generator is required")
         if gens[0] < 1:
-            raise ValueError("generators must be positive integers")
+            raise NonPositiveGenerator("generators must be positive integers")
         if reduce(gcd, gens) != 1:
             raise GcdNotOne(f"gcd of {gens} is {reduce(gcd, gens)}, not 1")
         dist = _apery_distances(tuple(gens))
         a = gens[0]
-        frobenius = max(dist) - a
-        if frobenius >= 10 ** 7:
-            raise ValueError(
-                f"conductor {frobenius + 1} is beyond desk scale; "
-                "membership tables would need hundreds of megabytes"
-            )
         gaps = sorted(
             v for r in range(a) for v in range(dist[r] - a, 0, -a)
         )

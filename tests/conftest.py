@@ -2,6 +2,7 @@ from functools import reduce
 from itertools import combinations
 from math import gcd
 
+import numpy as np
 import pytest
 
 from agb import HStar, NumericalSemigroup, hermitian_table
@@ -25,6 +26,22 @@ def sieve_membership(gens, bound):
     for i in range(1, bound + 1):
         mem[i] = any(i >= g and mem[i - g] for g in gens)
     return mem
+
+
+def dense_profile(hs):
+    """The profile from the full n x n difference matrix; reference oracle.
+
+    Returns the counts #((m_i + H) ∩ H*) for i = 1..n and, for each i, the
+    bitmask whose bit j-1 is set iff m_j - m_i is a semigroup member.  Needs
+    O(n^2) memory, so it is for desk-scale jump sets only.
+    """
+    members = hs.members_array()
+    in_h = np.array(sieve_membership(hs.semigroup.generators, int(members[-1])))
+    diff = members[None, :] - members[:, None]
+    ok = (diff >= 0) & in_h[np.maximum(diff, 0)]
+    packed = np.packbits(ok, axis=1, bitorder="little")
+    masks = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+    return tuple(int(c) for c in ok.sum(axis=1)), masks
 
 
 @pytest.fixture(scope="session")

@@ -1,13 +1,16 @@
+import tracemalloc
+
 import pytest
 
 from agb import (HStar, NumericalSemigroup, a_set, bound_table, d_ord, d_star,
                  feng_rao_improved_dim, ghw_bound, ghw_table, goppa_compare,
                  improved_profile, l_set_check, lambda_profile, lambda_star)
-from agb.bounds import a_counts_by_index, d_ord_threshold, ghw_bound_naive
+from agb.bounds import (_a_count, a_counts_by_index, d_ord_threshold,
+                        ghw_bound_naive)
 from agb.errors import (DeltaOutOfRange, EnumerationCapExceeded,
                         IndexOutOfRange, NotAMember, NotIsometryDual)
 
-from conftest import SUZUKI_TRUE_COUNTS
+from conftest import SUZUKI_TRUE_COUNTS, dense_profile, sieve_membership
 
 TWO_THREE_COUNTS = (8, 6, 5, 4, 3, 2, 2, 1)
 
@@ -46,6 +49,66 @@ def test_profile_counts_match_reference(suzuki_hstar, klein_hstar, f16_hstar,
     for hs in (suzuki_hstar, klein_hstar, two_three_hstar, f16_hstar):
         profile = lambda_profile(hs)
         assert tuple(int(c) for c in profile.counts) == ref_counts(hs)
+
+
+def test_profile_counts_match_dense_route_over_small_family(small_family):
+    # the library counts by the shifted-gap identity; the dense n x n route
+    # and the double loop count the sets directly
+    for S in small_family:
+        g = S.genus
+        for n in (2 * g + 3, 2 * g + 4, 2 * g + 9, 3 * g + 17):
+            for build in (HStar.from_equiv_divisor, HStar.from_isometry_dual):
+                hs = build(S, n)
+                counts = tuple(int(c) for c in lambda_profile(hs).counts)
+                assert counts == dense_profile(hs)[0] == ref_counts(hs), \
+                    (S, n, hs.mode)
+
+
+def test_lazy_masks_match_dense_route_and_lambda_star(suzuki_hstar,
+                                                      klein_hstar):
+    S579 = NumericalSemigroup.from_generators([5, 7, 9])
+    assert not S579.is_symmetric()
+    non_symmetric = HStar.from_equiv_divisor(S579, 40)
+    for hs in (suzuki_hstar, klein_hstar, non_symmetric):
+        _, dense_masks = dense_profile(hs)
+        # a fresh profile, its sets asked for from the last index down
+        profile = lambda_profile.__wrapped__(hs)
+        for i in range(hs.n, 0, -1):
+            assert profile.mask(i) == dense_masks[i - 1]
+            assert profile.lambda_set(i) == lambda_star(hs, i)
+            assert len(profile.lambda_set(i)) == profile.count(i)
+        assert [profile.mask(i) for i in range(1, hs.n + 1)] == \
+            list(dense_masks)
+
+
+def test_a_count_matches_window_count_across_the_switch(small_family):
+    # #A(h) = h + 1 - 2g from h = 2c - 1 on; below that it is counted
+    for S in small_family:
+        top = 2 * S.conductor + 5
+        mem = sieve_membership(S.generators, top)
+        for h in range(top + 1):
+            direct = sum(1 for t in range(h + 1) if mem[t] and mem[h - t])
+            assert _a_count(S, h) == direct, (S, h)
+
+
+def _traced_peak_mib(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_profile_memory_stays_linear_at_n_32768():
+    # the n x n route needed about 20 GiB here; O(n*g) stays in megabytes
+    S = NumericalSemigroup.from_generators([32, 33])
+    hs = HStar.from_equiv_divisor(S, 32768)
+    lambda_profile.cache_clear()
+    assert _traced_peak_mib(lambda_profile, hs) < 16
+    lambda_profile.cache_clear()
+    assert _traced_peak_mib(bound_table, hs) < 64
+    lambda_profile.cache_clear()
 
 
 def test_profile_sets_match_lambda_star(klein_hstar):
@@ -255,6 +318,52 @@ def test_ghw_pruned_equals_naive(klein_hstar, two_three_hstar):
         for i in range(1, min(12, hs.n) + 1):
             for r in range(1, min(i, 4) + 1):
                 assert ghw_bound(hs, i, r) == ghw_bound_naive(hs, i, r)
+
+
+def recursive_ghw_search(hs, i, r):
+    """The branch-and-bound search one node at a time, recursively.
+
+    Returns the bound and the number of nodes visited, the count the node
+    cap of ``ghw_bound`` applies to.  Desk scale only (recursion depth r).
+    """
+    counts, dense_masks = dense_profile(hs)
+    order = sorted(range(i), key=lambda j: counts[j])
+    masks = [dense_masks[j] for j in order]
+    best = bin(_or_all(masks[:r])).count("1")
+    nodes = 0
+
+    def dfs(pos, chosen, union):
+        nonlocal best, nodes
+        if chosen == r:
+            best = min(best, bin(union).count("1"))
+            return
+        for j in range(pos, i - (r - chosen) + 1):
+            nodes += 1
+            nxt = union | masks[j]
+            if bin(nxt).count("1") < best:
+                dfs(j + 1, chosen + 1, nxt)
+
+    dfs(0, 0, 0)
+    return best, nodes
+
+
+def _or_all(masks):
+    out = 0
+    for m in masks:
+        out |= m
+    return out
+
+
+def test_ghw_node_cap_counts_every_visited_node(klein_hstar, suzuki_hstar):
+    # the search charges a frame's candidates when it pushes the frame; the
+    # cap must still fall exactly where one-by-one counting puts it
+    for hs, pairs in ((klein_hstar, [(2, 9), (3, 12), (4, 15), (6, 20)]),
+                      (suzuki_hstar, [(2, 20), (3, 30), (5, 24), (8, 30)])):
+        for r, i in pairs:
+            best, nodes = recursive_ghw_search(hs, i, r)
+            assert ghw_bound(hs, i, r, node_cap=nodes) == best
+            with pytest.raises(EnumerationCapExceeded):
+                ghw_bound(hs, i, r, node_cap=nodes - 1)
 
 
 def test_ghw_monotonicity(klein_hstar):

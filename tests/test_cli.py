@@ -1,17 +1,37 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from agb.cli import main
 
 SUZUKI_ARGS = ["--gens", "8,10,12,13", "--n", "64", "--mode", "equiv-divisor"]
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_clean_error_exit(argv, error_name, **env):
+    """``agb <argv>`` in a child process exits 1 with the class name, no traceback."""
+    child_env = {k: v for k, v in os.environ.items()
+                 if not k.startswith("AGB_BUDGET_")}
+    child_env.update(env)
+    child_env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-m", "agb.cli", *argv],
+                          env=child_env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(f"{error_name}: "), proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_semigroup_trivial(capsys):
@@ -251,3 +271,34 @@ def test_hstar_json_output_feeds_back_as_explicit_input(capsys, tmp_path):
                                  "--json"])
     assert code == 0
     assert json.loads(out2)["members"] == json.loads(out)["members"]
+
+
+def test_missing_input_file_exit_1(tmp_path):
+    assert_clean_error_exit(["hstar", "--gens", "3,5,7", "--mode", "explicit",
+                             "--file", str(tmp_path / "absent.json")],
+                            "UnreadableFile")
+
+
+@pytest.mark.parametrize("var, value", [("AGB_BUDGET_CODEWORDS", "abc"),
+                                        ("AGB_BUDGET_SUBSPACES", "1e6")])
+def test_non_integer_budget_setting_exit_1(var, value):
+    assert_clean_error_exit(["verify", "hermitian", "--q0", "2"],
+                            "InvalidSearchBudget", **{var: value})
+
+
+def test_nonpositive_generator_exit_1():
+    assert_clean_error_exit(["semigroup", "--gens", "0,3"],
+                            "NonPositiveGenerator")
+
+
+@pytest.mark.parametrize("gens", ["10007,10009", "1000003,1000033"])
+def test_desk_scale_guard_exit_1(gens):
+    assert_clean_error_exit(["semigroup", "--gens", gens], "BeyondDeskScale")
+
+
+def test_deep_ghw_search_hits_node_cap_not_recursion_limit():
+    # r = 1500 goes deeper than Python's recursion limit
+    assert_clean_error_exit(["ghw", "--gens", "16,17", "--n", "4096",
+                             "--mode", "equiv-divisor", "--r", "1500",
+                             "--i", "1600", "--node-cap", "10000"],
+                            "EnumerationCapExceeded")

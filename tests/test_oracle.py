@@ -6,7 +6,7 @@ import pytest
 from agb import (CodeChain, FieldMatrix, SearchBudget, code, dual,
                  empirical_hstar, field, find_isometry_vector, min_distance,
                  rref, weight_hierarchy)
-from agb.errors import BudgetExceeded
+from agb.errors import AgbError, BudgetExceeded, InvalidSearchBudget
 from agb.evalcode import chain_matrix
 from agb.oracle import gaussian_binomial
 
@@ -231,6 +231,16 @@ def test_budget_from_env(monkeypatch):
     monkeypatch.delenv("AGB_BUDGET_SUBSPACES")
     b2 = SearchBudget.from_env()
     assert b2.max_codewords == 1 << 26
+
+
+@pytest.mark.parametrize("var, value", [("AGB_BUDGET_CODEWORDS", "abc"),
+                                        ("AGB_BUDGET_SUBSPACES", "2.5"),
+                                        ("AGB_BUDGET_CODEWORDS", "0")])
+def test_budget_from_env_rejects_bad_values(monkeypatch, var, value):
+    monkeypatch.setenv(var, value)
+    with pytest.raises(InvalidSearchBudget) as exc:
+        SearchBudget.from_env()
+    assert isinstance(exc.value, AgbError)
 
 
 def naive_weight_hierarchy(fld, rows, r):

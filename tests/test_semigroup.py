@@ -3,7 +3,8 @@ import random
 import pytest
 
 from agb import NumericalSemigroup
-from agb.errors import EmptyGenerators, GcdNotOne
+from agb.errors import (AgbError, BeyondDeskScale, EmptyGenerators, GcdNotOne,
+                        NonPositiveGenerator)
 
 from conftest import sieve_membership
 
@@ -127,3 +128,16 @@ def test_desk_scale_guard():
     # frobenius of <10007, 10009> is about 10^8, past the table cap
     with pytest.raises(ValueError):
         NumericalSemigroup.from_generators([10007, 10009])
+
+
+@pytest.mark.parametrize("gens, error", [
+    ([0, 3], NonPositiveGenerator),
+    ([-2, 5], NonPositiveGenerator),
+    ([10007, 10009], BeyondDeskScale),
+    # the least generator alone already forces 10^7 gaps
+    ([10 ** 7 + 1, 10 ** 7 + 2], BeyondDeskScale),
+])
+def test_guard_errors_are_agb_errors(gens, error):
+    with pytest.raises(error) as exc:
+        NumericalSemigroup.from_generators(gens)
+    assert isinstance(exc.value, AgbError)
