@@ -115,6 +115,10 @@ class UnreadableFile(AgbError):
     """Input file is missing or cannot be read."""
 
 
+class UnwritableFile(AgbError):
+    """Output file cannot be created or written."""
+
+
 class InvariantViolation(AgbError):
     """Structurally valid input violates a semantic invariant."""
 

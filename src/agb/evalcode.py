@@ -14,9 +14,9 @@ import numpy as np
 
 from . import bounds
 from .errors import (BudgetOutOfRange, DeltaOutOfRange, InvariantViolation,
-                     NotIsometryDual, SchemaError, UnsupportedParameter,
-                     ZeroPivot)
-from .gf import FieldMatrix, FiniteField, field
+                     NotIsometryDual, SchemaError, UnreadableFile,
+                     UnsupportedParameter, UnwritableFile, ZeroPivot)
+from .gf import Echelon, FieldMatrix, FiniteField, field
 from .hstar import HStar
 from .semigroup import NumericalSemigroup
 
@@ -143,21 +143,11 @@ def code(table: EvaluationTable, m: int) -> OnePointCode:
 
 def _incremental_ranks(fld: FiniteField, rows: np.ndarray) -> list[int]:
     """Rank after each prefix of rows, via one shared echelon pass."""
-    echelon = []  # (pivot column, normalized row)
+    echelon = Echelon(fld)
     ranks = []
-    rank = 0
     for row in rows:
-        v = row.astype(np.int32).copy()
-        for pc, er in echelon:
-            if v[pc]:
-                v = fld.add_arrays(v, fld.scale_array(fld.neg(int(v[pc])), er))
-        nz = np.nonzero(v)[0]
-        if nz.size:
-            pc = int(nz[0])
-            v = fld.scale_array(fld.inv(int(v[pc])), v)
-            echelon.append((pc, v))
-            rank += 1
-        ranks.append(rank)
+        echelon.insert(row)
+        ranks.append(len(echelon.rows))
     return ranks
 
 
@@ -264,14 +254,20 @@ def save_table(table: EvaluationTable, path) -> None:
             for f in table.functions
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+    except OSError as exc:
+        raise UnwritableFile(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def load_table(path) -> EvaluationTable:
     """Read and fully validate a table file; see save_table for the schema."""
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except OSError as exc:
+        raise UnreadableFile(f"cannot read {path}: {exc.strerror}") from exc
     try:
         fld = field(int(obj["field"]["p"]), int(obj["field"]["k"]))
         n = int(obj["n"])

@@ -11,7 +11,7 @@ minimum bounds the minimum distance of every C_i.
 import numpy as np
 
 from .errors import DependentInput, IndexOutOfRange
-from .gf import FieldMatrix, FiniteField
+from .gf import Echelon, FieldMatrix, FiniteField
 
 
 class CodeChain:
@@ -23,47 +23,22 @@ class CodeChain:
         if self.basis.ndim != 2 or self.basis.shape[0] != self.basis.shape[1]:
             raise DependentInput("a chain needs n independent vectors of length n")
         self.n = self.basis.shape[0]
-        # echelon rows tagged with the chain level that introduced them
-        self._echelon = []  # (pivot column, normalized row, level)
-        self._pivot_of_col = {}
+        self._echelon = Echelon(fld)
         for level, row in enumerate(self.basis, start=1):
-            reduced, _ = self._reduce(row)
-            nz = np.nonzero(reduced)[0]
-            if nz.size == 0:
+            if self._echelon.insert(row, level) is None:
                 raise DependentInput(f"basis vector {level} depends on earlier ones")
-            pc = int(nz[0])
-            reduced = fld.scale_array(fld.inv(int(reduced[pc])), reduced)
-            self._pivot_of_col[pc] = len(self._echelon)
-            self._echelon.append((pc, reduced, level))
         self._wbp = None
 
     @classmethod
     def from_matrix(cls, M: FieldMatrix) -> "CodeChain":
         return cls(M.field, M.data)
 
-    def _reduce(self, v):
-        """Eliminate v against the echelon; return (residual, multipliers by level)."""
-        fld = self.field
-        v = np.array(v, dtype=np.int32)
-        used = {}
-        while True:
-            nz = np.nonzero(v)[0]
-            if nz.size == 0:
-                return v, used
-            idx = self._pivot_of_col.get(int(nz[0]))
-            if idx is None:
-                return v, used
-            pc, row, level = self._echelon[idx]
-            coef = int(v[pc])
-            used[level] = coef
-            v = fld.add_arrays(v, fld.scale_array(fld.neg(coef), row))
-
     def nu(self, v) -> int:
         """First chain level containing v; 0 for the zero vector."""
         v = np.asarray(v, dtype=np.int32)
         if v.shape != (self.n,):
             raise ValueError(f"expected a vector of length {self.n}")
-        residual, used = self._reduce(v)
+        residual, used = self._echelon.reduce(v)
         if residual.any():
             raise DependentInput("vector lies outside the span of the chain")
         return max(used, default=0)
@@ -131,7 +106,7 @@ class CodeChain:
         for v in vectors:
             cur = np.array(v, dtype=np.int32)
             while True:
-                residual, used = self._reduce(cur)
+                residual, used = self._echelon.reduce(cur)
                 if residual.any():
                     raise DependentInput("vector outside the chain span")
                 level = max(used, default=0)

@@ -1,21 +1,24 @@
-"""Small finite fields GF(p^k) and dense linear algebra over them.
+"""Finite fields GF(p^k) of order q <= 256 and dense linear algebra over them.
 
 Elements are integers in [0, q) packing polynomial coefficients little-endian
-in base p.  Multiplication runs through log/antilog tables; addition is
-digitwise mod p (plain XOR in characteristic 2).  Vectorized variants cover
-whole numpy arrays so exhaustive searches stay cheap.
+in base p.  Addition, negation and multiplication read q x q and length-q
+tables built once per field.  The vectorized variants cover whole numpy
+arrays so exhaustive searches stay cheap; they add by XOR in characteristic
+2, where that beats a table read.  :class:`Echelon` is the one elimination
+kernel: row reduction, ranks and code chains are all built on it.
 """
 
 import json
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DivisionByZero, UnsupportedField
+from .errors import (DivisionByZero, UnreadableFile, UnsupportedField,
+                     UnwritableFile)
 
 _SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
-_MAX_ORDER = 65536
+_MAX_ORDER = 256
 
 # moduli pinned for reproducibility of every example and file
 _PINNED_MODULI = {
@@ -24,8 +27,6 @@ _PINNED_MODULI = {
     (2, 4): 19,   # t^4 + t + 1
     (3, 2): 10,   # t^2 + 1
 }
-
-_MUL_TABLE_MAX_ORDER = 256
 
 
 def _digits(x: int, p: int, width: int) -> list[int]:
@@ -92,7 +93,8 @@ class FiniteField:
         if p not in _SUPPORTED_PRIMES:
             raise UnsupportedField(f"characteristic {p} not supported")
         if not 1 <= k <= 4 or p ** k > _MAX_ORDER:
-            raise UnsupportedField(f"extension degree {k} not supported for p={p}")
+            raise UnsupportedField(
+                f"GF({p}^{k}) not supported: need k <= 4 and p^k <= {_MAX_ORDER}")
         self.p = p
         self.k = k
         self.q = p ** k
@@ -130,7 +132,7 @@ class FiniteField:
         return out
 
     def _build_tables(self) -> None:
-        q = self.q
+        q, p = self.q, self.p
         factors = _prime_factors(q - 1) if q > 2 else []
         gen = None
         for cand in range(1, q):
@@ -147,50 +149,33 @@ class FiniteField:
         self.generator = gen
         self._exp = exp
         self._log = log
-        self._np_exp = np.array(exp + exp, dtype=np.int32)
-        self._np_log = np.array(log, dtype=np.int64)
-        self._mul_table = None
-        if q <= _MUL_TABLE_MAX_ORDER:
-            table = np.zeros((q, q), dtype=np.int32)
-            logs = self._np_log
-            nz = np.arange(1, q)
-            table[1:, 1:] = self._np_exp[logs[nz][:, None] + logs[nz][None, :]]
-            self._mul_table = table
+        logs = np.array(log[1:])
+        self._mul = np.zeros((q, q), dtype=np.int32)
+        self._mul[1:, 1:] = np.array(exp, dtype=np.int32)[
+            (logs[:, None] + logs[None, :]) % (q - 1)]
+        place = p ** np.arange(self.k)
+        digits = np.arange(q)[:, None] // place % p
+        self._add = ((digits[:, None, :] + digits[None, :, :]) % p
+                     @ place).astype(np.int32)
+        self._neg = ((-digits) % p @ place).astype(np.int32)
+
+    def _gather(self, table: np.ndarray, x, y) -> np.ndarray:
+        """table[x, y] with broadcasting, through one flat index."""
+        return table.reshape(-1)[x * self.q + y]
 
     # -- scalar arithmetic ----------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        if self.k == 1:
-            return (a + b) % self.p
-        out, mul = 0, 1
-        for _ in range(self.k):
-            out += ((a + b) % self.p) * mul
-            a //= self.p
-            b //= self.p
-            mul *= self.p
-        return out
+        return int(self._add[a, b])
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        if self.k == 1:
-            return (-a) % self.p
-        out, mul = 0, 1
-        for _ in range(self.k):
-            out += ((-a) % self.p) * mul
-            a //= self.p
-            mul *= self.p
-        return out
+        return int(self._neg[a])
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        return int(self._mul[a, b])
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -220,65 +205,31 @@ class FiniteField:
         y = np.asarray(y, dtype=np.int32)
         if self.p == 2:
             return np.bitwise_xor(x, y)
-        out = np.zeros(np.broadcast(x, y).shape, dtype=np.int32)
-        mul = 1
-        for _ in range(self.k):
-            out += ((x + y) % self.p) * mul
-            x = x // self.p
-            y = y // self.p
-            mul *= self.p
-        return out
+        return self._gather(self._add, x, y)
 
     def neg_arrays(self, x):
-        x = np.asarray(x, dtype=np.int32)
-        if self.p == 2:
-            return x.copy()
-        out = np.zeros_like(x)
-        mul = 1
-        for _ in range(self.k):
-            out += ((-x) % self.p) * mul
-            x = x // self.p
-            mul *= self.p
-        return out
+        return self._neg[np.asarray(x, dtype=np.int32)]
 
     def mul_arrays(self, x, y):
         """Elementwise field multiplication with numpy broadcasting."""
         x = np.asarray(x, dtype=np.int32)
         y = np.asarray(y, dtype=np.int32)
-        if self._mul_table is not None:
-            return self._mul_table[x, y]
-        out = np.zeros(np.broadcast(x, y).shape, dtype=np.int32)
-        nz = (x != 0) & (y != 0)
-        xs, ys = np.broadcast_arrays(x, y)
-        out[nz] = self._np_exp[self._np_log[xs[nz]] + self._np_log[ys[nz]]]
-        return out
+        return self._gather(self._mul, x, y)
 
     def scale_array(self, lam: int, x):
         """lam times each entry of x."""
-        x = np.asarray(x, dtype=np.int32)
-        if lam == 0:
-            return np.zeros_like(x)
-        if lam == 1:
-            return x.copy()
-        if self._mul_table is not None:
-            return self._mul_table[lam][x]
-        return self.mul_arrays(np.int32(lam), x)
+        return self._mul[lam][np.asarray(x, dtype=np.int32)]
 
     def sum_field(self, x, axis=None):
         """Field sum of an array along an axis."""
         x = np.asarray(x, dtype=np.int32)
         if self.p == 2:
             return np.bitwise_xor.reduce(x, axis=axis)
-        out = None
-        mul = 1
-        v = x
-        for _ in range(self.k):
-            plane = (v % self.p).sum(axis=axis) % self.p
-            term = plane * mul
-            out = term if out is None else out + term
-            v = v // self.p
-            mul *= self.p
-        return out
+        if axis is None:
+            x, axis = x.reshape(-1), 0
+        planes = np.moveaxis(x, axis, 0)
+        return reduce(partial(self._gather, self._add), planes,
+                      np.zeros(planes.shape[1:], dtype=np.int32))
 
     def dot(self, u, v) -> int:
         """Field inner product of two equal-length vectors."""
@@ -395,46 +346,89 @@ class RowReduction(NamedTuple):
     pivots: tuple
 
 
-def rref(M: FieldMatrix) -> RowReduction:
-    """Reduced row-echelon form with deterministic pivoting.
+class Echelon:
+    """Echelon form over a field, grown one row at a time.
 
-    Pivots are chosen leftmost column first, topmost unused row within the
-    column; rows end up ordered by pivot column.
+    Each stored row is 1 at its pivot, its first nonzero column, and 0 at the
+    pivots of the rows stored before it.  Rows carry a level tag, so
+    :meth:`reduce` can report which inserted rows a vector is made of.
+    """
+
+    def __init__(self, fld: FiniteField):
+        self.field = fld
+        self.pivots = []
+        self.rows = []
+        self.levels = []
+
+    def reduce(self, v):
+        """Eliminate v against the stored rows; return (residual, multipliers).
+
+        ``multipliers`` maps the level of each row used to its nonzero
+        multiplier, and ``residual`` is v minus the sum of multiplier times
+        row.  The residual is 0 at every pivot, and 0 iff v lies in the span
+        of the rows.
+        """
+        fld = self.field
+        v = np.array(v, dtype=np.int32)
+        used = {}
+        for pc, row, level in zip(self.pivots, self.rows, self.levels):
+            coef = int(v[pc])
+            if coef:
+                used[level] = coef
+                v = fld.add_arrays(v, fld.scale_array(fld.neg(coef), row))
+        return v, used
+
+    def insert(self, row, level=None):
+        """Store row; return its pivot column, or None when it is dependent.
+
+        ``level`` tags the row in :meth:`reduce`; it defaults to the row's
+        1-based position among the stored rows.
+        """
+        residual, _ = self.reduce(row)
+        nz = np.flatnonzero(residual)
+        if nz.size == 0:
+            return None
+        pc = int(nz[0])
+        fld = self.field
+        self.pivots.append(pc)
+        self.rows.append(fld.scale_array(fld.inv(int(residual[pc])), residual))
+        self.levels.append(len(self.rows) if level is None else level)
+        return pc
+
+
+def rref(M: FieldMatrix) -> RowReduction:
+    """Reduced row-echelon form; rows are ordered by pivot column.
+
+    The reduced form of a row space is unique, so the result does not depend
+    on the order of elimination.
     """
     fld = M.field
-    a = M.data.copy()
-    nrows, ncols = a.shape
-    pivots = []
-    prow = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(prow, nrows):
-            if a[r, col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != prow:
-            a[[prow, pivot_row]] = a[[pivot_row, prow]]
-        piv = int(a[prow, col])
-        if piv != 1:
-            a[prow] = fld.scale_array(fld.inv(piv), a[prow])
-        for r in range(nrows):
-            if r != prow and a[r, col]:
-                factor = fld.neg(int(a[r, col]))
-                a[r] = fld.add_arrays(a[r], fld.scale_array(factor, a[prow]))
-        pivots.append(col)
-        prow += 1
-        if prow == nrows:
-            break
-    return RowReduction(FieldMatrix(fld, a), len(pivots), tuple(pivots))
+    forward = Echelon(fld)
+    for row in M.data:
+        forward.insert(row)
+    # inserted by falling pivot, each row is cleared at every later pivot
+    back = Echelon(fld)
+    for i in np.argsort(forward.pivots)[::-1]:
+        back.insert(forward.rows[i])
+    a = np.zeros_like(M.data)
+    rank = len(back.rows)
+    if rank:
+        a[:rank] = back.rows[::-1]
+    return RowReduction(FieldMatrix(fld, a), rank, tuple(back.pivots[::-1]))
 
 
 def save_matrix(M: FieldMatrix, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(M.to_json(), fh)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(M.to_json(), fh)
+    except OSError as exc:
+        raise UnwritableFile(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def load_matrix(path) -> FieldMatrix:
-    with open(path, encoding="utf-8") as fh:
-        return FieldMatrix.from_json(json.load(fh))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except OSError as exc:
+        raise UnreadableFile(f"cannot read {path}: {exc.strerror}") from exc
+    return FieldMatrix.from_json(obj)

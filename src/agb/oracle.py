@@ -163,17 +163,13 @@ def weight_hierarchy(M: FieldMatrix, r: int,
 
 def dual(M: FieldMatrix) -> FieldMatrix:
     """Generator matrix of the dual code (nullspace of the rows of M)."""
-    fld = M.field
-    n = M.ncols
     red = rref(M)
-    pivots = red.pivots
-    free = [c for c in range(n) if c not in set(pivots)]
-    out = np.zeros((len(free), n), dtype=np.int32)
-    for idx, f in enumerate(free):
-        out[idx, f] = 1
-        for i, pc in enumerate(pivots):
-            out[idx, pc] = fld.neg(int(red.matrix.data[i, f]))
-    return FieldMatrix(fld, out)
+    pivots = list(red.pivots)
+    free = [c for c in range(M.ncols) if c not in red.pivots]
+    out = np.zeros((len(free), M.ncols), dtype=np.int32)
+    out[np.arange(len(free)), free] = 1
+    out[:, pivots] = M.field.neg_arrays(red.matrix.data[: red.rank][:, free].T)
+    return FieldMatrix(M.field, out)
 
 
 def find_isometry_vector(chain: CodeChain, comb_cap: int = 10 ** 6):

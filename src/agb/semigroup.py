@@ -54,6 +54,15 @@ def _beyond_desk_scale() -> BeyondDeskScale:
     )
 
 
+def _check_limit(limit: int) -> None:
+    """Refuse a listing or table past desk scale before allocating it."""
+    if limit > MAX_FROBENIUS:
+        raise BeyondDeskScale(
+            f"limit {limit} is beyond desk scale: members are listed only up "
+            f"to {MAX_FROBENIUS}"
+        )
+
+
 class NumericalSemigroup:
     """Numerical semigroup with precomputed gaps, genus and Frobenius number.
 
@@ -122,6 +131,7 @@ class NumericalSemigroup:
 
     def elements_up_to(self, limit: int) -> list[int]:
         """All members m with 0 <= m <= limit."""
+        _check_limit(limit)
         out = [m for m in self._small_members if m <= limit]
         out.extend(range(max(self.conductor, 0), limit + 1))
         return out
@@ -131,6 +141,7 @@ class NumericalSemigroup:
 
         The returned array is a read-only view into the cache.
         """
+        _check_limit(limit)
         if self._mask is None or len(self._mask) <= limit:
             size = max(limit + 1, self.conductor, 1)
             mask = np.ones(size, dtype=bool)

@@ -296,6 +296,22 @@ def test_desk_scale_guard_exit_1(gens):
     assert_clean_error_exit(["semigroup", "--gens", gens], "BeyondDeskScale")
 
 
+@pytest.mark.parametrize("argv", [
+    ["semigroup", "--gens", "3,5", "--up-to", "100000000000"],
+    ["hstar", "--gens", "2,3", "--n", "100000000000", "--mode", "equiv-divisor"],
+    ["hstar", "--gens", "2,3", "--n", "100000000000", "--mode", "isometry-dual"],
+])
+def test_listing_past_desk_scale_exit_1(argv):
+    assert_clean_error_exit(argv, "BeyondDeskScale")
+
+
+@pytest.mark.parametrize("flags", [["--emit-table"], ["--m", "3", "--emit-matrix"]])
+def test_emit_into_missing_directory_exit_1(flags, tmp_path):
+    target = str(tmp_path / "no" / "such" / "dir" / "out.json")
+    assert_clean_error_exit(["curve", "hermitian", "--q0", "2", *flags, target],
+                            "UnwritableFile")
+
+
 def test_deep_ghw_search_hits_node_cap_not_recursion_limit():
     # r = 1500 goes deeper than Python's recursion limit
     assert_clean_error_exit(["ghw", "--gens", "16,17", "--n", "4096",

@@ -8,7 +8,8 @@ from agb import (HStar, NumericalSemigroup, biorthogonal_adjust,
                  hermitian_table, improved_generators, load_table, min_distance,
                  rref, save_table)
 from agb.errors import (BudgetOutOfRange, DeltaOutOfRange, InvariantViolation,
-                        NotIsometryDual, SchemaError, UnsupportedParameter)
+                        NotIsometryDual, SchemaError, UnreadableFile,
+                        UnsupportedParameter, UnwritableFile)
 from agb.evalcode import EvaluationTable, chain_matrix, measured_dimensions
 from agb.bounds import lambda_profile
 
@@ -129,6 +130,13 @@ def test_load_table_schema_error(tmp_path):
     path.write_text(json.dumps({"field": {"p": 2, "k": 2}, "n": 3}))
     with pytest.raises(SchemaError):
         load_table(path)
+
+
+def test_table_file_errors(tmp_path, herm2_table):
+    with pytest.raises(UnreadableFile):
+        load_table(tmp_path / "absent.json")
+    with pytest.raises(UnwritableFile):
+        save_table(herm2_table, tmp_path / "absent" / "h2.json")
 
 
 def test_load_table_genus_mismatch(tmp_path, herm2_table):

@@ -2,14 +2,18 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from agb import FieldMatrix, field, rref
-from agb.errors import DivisionByZero, UnsupportedField
-from agb.gf import _is_irreducible, _digits
+from agb import FieldMatrix, dual, field, rref
+from agb.errors import DivisionByZero, UnreadableFile, UnsupportedField
+from agb.gf import Echelon, _digits, _is_irreducible
 
 PINNED = {(2, 2): 7, (2, 3): 11, (2, 4): 19, (3, 2): 10}
 SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
                 (11, 1), (13, 1), (2, 4)]
+SUPPORTED_FIELDS = [(p, k) for p in (2, 3, 5, 7, 11, 13) for k in range(1, 5)
+                    if p ** k <= 256]
 
 
 def test_pinned_moduli():
@@ -41,12 +45,27 @@ def test_gf9_unit_group():
 
 
 def test_unsupported_fields():
-    with pytest.raises(UnsupportedField):
-        field(4, 1)
-    with pytest.raises(UnsupportedField):
-        field(2, 5)
-    with pytest.raises(UnsupportedField):
-        field(17, 1)
+    for p, k in ((4, 1), (2, 5), (17, 1), (5, 4), (7, 3), (13, 3)):
+        with pytest.raises(UnsupportedField):
+            field(p, k)
+
+
+@pytest.mark.parametrize("p,k", SUPPORTED_FIELDS)
+def test_tables_match_digit_sums_and_polynomial_products(p, k):
+    f = field(p, k)
+    q = f.q
+    a = np.arange(q, dtype=np.int32)
+    added = f.add_arrays(a[:, None], a[None, :])
+    multiplied = f.mul_arrays(a[:, None], a[None, :])
+    negated = f.neg_arrays(a)
+    place = [p ** i for i in range(k)]
+    digits = [_digits(x, p, k) for x in range(q)]
+    for x in range(q):
+        assert negated[x] == sum((-d) % p * w for d, w in zip(digits[x], place))
+        for y in range(q):
+            assert added[x, y] == sum((dx + dy) % p * w for dx, dy, w
+                                      in zip(digits[x], digits[y], place))
+            assert multiplied[x, y] == f._mul_slow(x, y)
 
 
 def test_division_by_zero():
@@ -95,7 +114,7 @@ def test_generator_has_full_order():
 
 def test_array_ops_match_scalar_ops():
     rng = random.Random(7)
-    for p, k in ((2, 2), (3, 2), (2, 3), (5, 1)):
+    for p, k in ((2, 2), (3, 2), (2, 3), (5, 1), (5, 2), (3, 3), (13, 2)):
         f = field(p, k)
         xs = np.array([rng.randrange(f.q) for _ in range(40)], dtype=np.int32)
         ys = np.array([rng.randrange(f.q) for _ in range(40)], dtype=np.int32)
@@ -112,13 +131,20 @@ def test_array_ops_match_scalar_ops():
 
 def test_sum_field_matches_scalar():
     rng = random.Random(11)
-    for p, k in ((2, 2), (3, 2), (3, 1)):
+    for p, k in ((2, 2), (3, 2), (3, 1), (5, 2), (3, 3), (13, 2)):
         f = field(p, k)
         xs = np.array([rng.randrange(f.q) for _ in range(25)], dtype=np.int32)
         acc = 0
         for a in xs:
             acc = f.add(acc, int(a))
         assert int(f.sum_field(xs)) == acc
+        grid = xs[:24].reshape(4, 6)
+        for axis in (0, 1):
+            planes = np.moveaxis(grid, axis, 0)
+            expect = [0] * planes.shape[1]
+            for plane in planes:
+                expect = [f.add(e, int(v)) for e, v in zip(expect, plane)]
+            assert list(f.sum_field(grid, axis=axis)) == expect
 
 
 def test_matmul_matches_naive():
@@ -150,7 +176,7 @@ def test_rref_identity_and_zero():
 
 def test_rref_idempotent_and_rank_transpose():
     rng = random.Random(99)
-    for p, k in ((2, 2), (3, 2)):
+    for p, k in ((2, 2), (3, 2), (5, 2), (3, 3), (13, 2)):
         f = field(p, k)
         for _ in range(20):
             rows = rng.randint(1, 6)
@@ -173,6 +199,78 @@ def test_rref_pivot_columns_are_unit():
         col = red.matrix.data[:, pc]
         assert col[i] == 1
         assert all(col[j] == 0 for j in range(red.matrix.nrows) if j != i)
+
+
+def test_echelon_reduce_rebuilds_v_and_insert_tracks_rank():
+    rng = random.Random(23)
+    for p, k in ((2, 2), (3, 2), (5, 2), (3, 3), (13, 2)):
+        f = field(p, k)
+        for _ in range(10):
+            ncols = rng.randint(1, 6)
+            # repeated and scaled rows make some inserts dependent
+            base = [[rng.randrange(f.q) for _ in range(ncols)]
+                    for _ in range(rng.randint(1, 4))]
+            rows = [list(f.scale_array(rng.randrange(f.q), rng.choice(base)))
+                    if rng.random() < 0.4 else
+                    [rng.randrange(f.q) for _ in range(ncols)]
+                    for _ in range(rng.randint(1, 8))]
+            ech = Echelon(f)
+            for i, row in enumerate(rows):
+                before = rref(FieldMatrix(f, rows[:i])).rank if i else 0
+                after = rref(FieldMatrix(f, rows[: i + 1])).rank
+                pivot = ech.insert(row, level=10 + i)
+                assert (pivot is None) == (after == before)
+                if pivot is not None:
+                    assert ech.rows[-1][pivot] == 1
+                    assert not ech.rows[-1][:pivot].any()
+            by_level = dict(zip(ech.levels, ech.rows))
+            for trial in range(6):
+                if trial % 2:  # a vector of the span
+                    coefs = np.array([rng.randrange(f.q) for _ in rows])
+                    v = f.sum_field(f.mul_arrays(coefs[:, None], rows), axis=0)
+                else:
+                    v = np.array([rng.randrange(f.q) for _ in range(ncols)])
+                residual, multipliers = ech.reduce(v)
+                assert not residual[ech.pivots].any()
+                total = residual
+                for level, coef in multipliers.items():
+                    assert coef != 0
+                    total = f.add_arrays(total,
+                                         f.scale_array(coef, by_level[level]))
+                assert list(total) == list(v)
+                grown = rref(FieldMatrix(f, rows + [list(v)])).rank
+                assert (not residual.any()) == (grown == len(ech.rows))
+
+
+@st.composite
+def field_matrices(draw):
+    p, k = draw(st.sampled_from(SUPPORTED_FIELDS))
+    f = field(p, k)
+    nrows = draw(st.integers(0, 6))
+    ncols = draw(st.integers(1, 7))
+    data = draw(st.lists(st.lists(st.integers(0, f.q - 1), min_size=ncols,
+                                  max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    return FieldMatrix(f, np.array(data, dtype=np.int32).reshape(nrows, ncols))
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_matrices())
+def test_rref_rank_and_dual_properties(M):
+    f = M.field
+    red = rref(M)
+    again = rref(red.matrix)
+    assert again == red
+    assert red.rank == rref(M.transpose()).rank
+    ech = Echelon(f)
+    for row in M.data:
+        ech.insert(row)
+    assert len(ech.rows) == red.rank
+    assert sorted(ech.pivots) == list(red.pivots)
+    D = dual(M)
+    assert red.rank + D.rank() == M.ncols
+    if M.nrows and D.nrows:
+        assert not f.matmul(M.data, D.data.T).any()
 
 
 def test_hermitian_full_matrix_rank(herm2_table):
@@ -199,6 +297,12 @@ def test_matrix_json_roundtrip(tmp_path):
     assert back == M
     assert back.to_json() == {"p": 3, "k": 2, "rows": 2, "cols": 3,
                               "data": [0, 1, 8, 3, 4, 5]}
+
+
+def test_load_matrix_missing_file(tmp_path):
+    from agb import load_matrix
+    with pytest.raises(UnreadableFile):
+        load_matrix(tmp_path / "absent.json")
 
 
 def test_large_field_construction():

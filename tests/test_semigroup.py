@@ -141,3 +141,9 @@ def test_guard_errors_are_agb_errors(gens, error):
     with pytest.raises(error) as exc:
         NumericalSemigroup.from_generators(gens)
     assert isinstance(exc.value, AgbError)
+
+
+def test_listing_past_desk_scale_is_refused(suzuki):
+    for listing in (suzuki.elements_up_to, suzuki.membership_mask):
+        with pytest.raises(BeyondDeskScale):
+            listing(10 ** 7 + 1)
