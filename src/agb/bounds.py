@@ -7,11 +7,16 @@ code profiles, and the generalized-Hamming-weight extension.
 
 The profile counts come from the shifted-gap identity in O(n*g) time and
 O(n + g) memory; the sets themselves are built one index at a time, only
-where the generalized-weight search or a caller asks for them.
+where the generalized-weight sweep or a caller asks for them.
+
+A union of the sets at indices j_1..j_r is E ∩ H*, for E the ideal of H
+generated by m_j1..m_jr, so the generalized-weight bounds d*_r(i) come from
+one depth-first sweep over those ideals, which answers every requested
+(r, i) at once.
 """
 
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -179,19 +184,6 @@ def d_ord(hs: HStar, i: int) -> int:
     return min(_a_count(S, hs.members[n - r]) for r in range(1, i + 1))
 
 
-def d_ord_threshold(hs: HStar, i: int) -> int:
-    """Dual-side order bound in its original min-over-threshold form.
-
-    Minimizes the A-set size over jump values h >= n+2g-1 - m_i.  Agrees
-    with :func:`d_ord`; kept separate so the reduction itself is testable.
-    """
-    _check_index(hs, i)
-    _require_isometry_dual(hs)
-    S = hs.semigroup
-    cutoff = hs.n + 2 * S.genus - 1 - hs.members[i - 1]
-    return min(_a_count(S, h) for h in hs.members if h >= cutoff)
-
-
 class LSetCheck(NamedTuple):
     l_set: frozenset
     identity_holds: bool
@@ -242,68 +234,133 @@ def feng_rao_improved_dim(hs: HStar, delta: int) -> int:
 
 def ghw_bound(hs: HStar, i: int, r: int,
               node_cap: int = DEFAULT_NODE_CAP) -> int:
-    """Exact minimum union cardinality over r distinct profile sets within 1..i.
+    """d*_r(i): the least size of a union of r distinct sets among 1..i.
 
-    Depth-first subset enumeration with branch-and-bound: a partial union at
-    least as large as the incumbent cannot improve, since unions only grow.
-    Visiting more than ``node_cap`` nodes raises instead of degrading.
+    The one-pair case of :func:`ghw_table`: the same sweep over ideals,
+    pruned against this pair alone.  Visiting more than ``node_cap`` ideals
+    raises :class:`EnumerationCapExceeded` instead of degrading.
     """
-    if not (1 <= r <= i):
-        raise IndexOutOfRange(f"need 1 <= r <= i, got r={r}, i={i}")
-    _check_index(hs, i)
+    _check_pair(hs, r, i)
+    return _ideal_sweep(hs, [(r, i)], node_cap)[r, i]
+
+
+def _ideal_sweep(hs: HStar, pairs, node_cap: int) -> dict:
+    """d*_r(i) for every requested (r, i), from one pass over ideals of H.
+
+    d*_r(i) is the least #(E ∩ H*) over the ideals E generated inside
+    M_i = {m_1..m_i} with #(E ∩ M_i) >= r.  The pass adds generators in
+    increasing index and skips every m_j already in E, which lists each
+    ideal once, by its antichain of generators.  Siblings are tried from the
+    highest index down, so small ideals come first.  Ideals are bitmasks
+    over member positions, ORs of ``LambdaProfile.mask``.
+
+    An ideal whose last generator is m_j counts at every column i >= j for
+    every r <= #(E ∩ M_i).  It enters the table through a short staircase,
+    one step per requested column where that count grows, until it reaches
+    the largest requested r.  ``best[r][c]`` holds the least size that
+    counts for (r, cols[c]) so far, closed under the table's order: it never
+    grows along a row nor falls down a column.
+
+    Two cuts bound a subtree.  Ideals only grow down a branch, and the
+    ideals below E count only at columns past its last generator m_j.  They
+    also add no position up to j, so if E misses ``slack`` of the positions
+    1..j they reach #(E' ∩ M_i) <= i - slack at column i.  A subtree is cut
+    once no requested (r, i) it could reach holds a value above its size.
+    """
     profile = lambda_profile(hs)
-    masks = [profile.mask(j) for j in range(1, i + 1)]
-    order = sorted(range(i), key=lambda j: int(profile.counts[j]))
-    masks = [masks[j] for j in order]
+    cols = sorted({i for _, i in pairs})
+    width, imax = len(cols), cols[-1]
+    wanted = [set() for _ in cols]
+    for r, i in pairs:
+        wanted[bisect_left(cols, i)].add(r)
+    wanted = [sorted(rs) for rs in wanted]
+    top = [rs[-1] for rs in wanted]
+    rmax = max(top)
+    first = [bisect_left(cols, p) for p in range(imax + 2)]
+    low = [(1 << i) - 1 for i in cols]
+    window = (1 << imax) - 1
+    counts = [0] + profile.counts[:imax].tolist()
+    best = [None] + [[hs.n + 1] * width for _ in range(rmax)]
+    # size_cap[c]: the largest requested value in columns c.., 0 past the
+    # last; best[top[c]][c] is the largest at column c, as best grows with r
+    size_cap = [hs.n + 1] * width + [0]
+    # spare[c]: the most slack that still reaches every requested r in
+    # columns c.., unbounded past the last
+    spare = [hs.n + 1] * (width + 1)
+    for c in range(width - 1, -1, -1):
+        spare[c] = min(spare[c + 1], cols[c] - top[c])
 
-    if r == i:
-        return _popcount_union(masks)
-    # greedy incumbent: union of the r individually smallest sets
-    best = _popcount_union(masks[:r])
-    # Depth-first search with an explicit stack, one frame per chosen set:
-    # the union so far and an iterator over the candidates left at that depth.
-    # A frame is always run to its end, so charging all of its candidates to
-    # the node count when it is pushed counts what visiting them would.
-    nodes = i - r + 1
-    if nodes > node_cap:
-        raise EnumerationCapExceeded(node_cap)
-    stack = [(0, iter(range(nodes)))]
-    while stack:
-        union, candidates = stack[-1]
-        depth = len(stack)
-        for j in candidates:
-            nxt = union | masks[j]
-            if nxt.bit_count() >= best:
-                continue
-            if depth == r:
-                best = nxt.bit_count()
-                continue
-            stop = i - r + depth + 1
-            nodes += stop - j - 1
-            if nodes > node_cap:
-                raise EnumerationCapExceeded(node_cap)
-            stack.append((nxt, iter(range(j + 1, stop))))
-            break
-        else:
-            stack.pop()
-    return best
+    def refresh(lo, hi):
+        """Recompute size_cap after ``best`` changed in columns lo..hi-1."""
+        for c in range(hi - 1, -1, -1):
+            cap = max(best[top[c]][c], size_cap[c + 1])
+            if c < lo and cap == size_cap[c]:
+                return
+            size_cap[c] = cap
 
+    def improvable(c, slack, size):
+        """Whether an ideal of this size and slack could still lower a
+        requested value in columns c.. ."""
+        while spare[c] < slack:
+            rs = wanted[c]
+            k = bisect_right(rs, cols[c] - slack)
+            if k and best[rs[k - 1]][c] > size:
+                return True
+            c += 1
+        return size < size_cap[c]
 
-def _popcount_union(masks) -> int:
-    u = 0
-    for m in masks:
-        u |= m
-    return u.bit_count()
-
-
-def ghw_bound_naive(hs: HStar, i: int, r: int) -> int:
-    """Plain enumeration over all r-subsets; oracle for the pruned search."""
-    if not (1 <= r <= i):
-        raise IndexOutOfRange(f"need 1 <= r <= i, got r={r}, i={i}")
-    _check_index(hs, i)
-    profile = lambda_profile(hs)
-    masks = [profile.mask(j) for j in range(1, i + 1)]
-    return min(_popcount_union(sub) for sub in combinations(masks, r))
+    nodes = 0
+    # one frame per generator taken: the ideal and the untried positions
+    # above its last generator that it does not contain
+    ideals, untried = [0], [window]
+    while untried:
+        free = untried[-1]
+        if not free:
+            ideals.pop()
+            untried.pop()
+            continue
+        j = free.bit_length()
+        untried[-1] = free ^ (1 << (j - 1))
+        nodes += 1
+        if nodes > node_cap:
+            raise EnumerationCapExceeded(node_cap)
+        # the ideal holds Λ*_j, so a count that large already rules it out,
+        # before its mask is built
+        if counts[j] >= size_cap[first[j]]:
+            continue
+        ideal = ideals[-1] | profile.mask(j)
+        size = ideal.bit_count()
+        # positions 1..j outside the ideal
+        slack = j - size + (ideal >> j).bit_count()
+        if not improvable(first[j], slack, size):
+            continue
+        # the staircase, lowering each row from r = #(E ∩ M_i) down
+        c = dirty = first[j]
+        while True:
+            e = (ideal & low[c]).bit_count()
+            for r in range(e if e < rmax else rmax, 0, -1):
+                row = best[r]
+                if row[c] <= size:
+                    break
+                end = c
+                while end < width and row[end] > size:
+                    row[end] = size
+                    end += 1
+                if end > dirty:
+                    dirty = end
+            if e >= rmax:
+                break
+            rest = ideal >> cols[c]
+            p = cols[c] + (rest & -rest).bit_length()
+            if not rest or p > imax:
+                break
+            c = first[p]
+        if dirty > first[j]:
+            refresh(first[j], dirty)
+        if improvable(first[j + 1], slack, size):
+            ideals.append(ideal)
+            untried.append(window >> j << j & ~ideal)
+    return {(r, i): best[r][bisect_left(cols, i)] for r, i in pairs}
 
 
 class BoundRow(NamedTuple):
@@ -350,15 +407,28 @@ class GhwTable(NamedTuple):
 
 
 def ghw_table(hs: HStar, pairs, node_cap: int = DEFAULT_NODE_CAP) -> GhwTable:
-    """Generalized-weight bounds for the requested (r, i) pairs."""
-    entries = tuple(GhwEntry(r, i, ghw_bound(hs, i, r, node_cap=node_cap))
-                    for r, i in pairs)
-    return GhwTable(hs, entries)
+    """Generalized-weight bounds d*_r(i) for the requested (r, i) pairs.
+
+    One sweep over the ideals of H answers every pair: its generators stop
+    at the largest requested i and its staircase at the largest requested r.
+    Visiting more than ``node_cap`` ideals raises.
+    """
+    pairs = [(int(r), int(i)) for r, i in pairs]
+    for r, i in pairs:
+        _check_pair(hs, r, i)
+    values = _ideal_sweep(hs, pairs, node_cap) if pairs else {}
+    return GhwTable(hs, tuple(GhwEntry(r, i, values[r, i]) for r, i in pairs))
 
 
 def _check_index(hs: HStar, i: int) -> None:
     if not 1 <= i <= hs.n:
         raise IndexOutOfRange(f"index {i} outside 1..{hs.n}")
+
+
+def _check_pair(hs: HStar, r: int, i: int) -> None:
+    if not 1 <= r <= i:
+        raise IndexOutOfRange(f"need 1 <= r <= i, got r={r}, i={i}")
+    _check_index(hs, i)
 
 
 def _check_delta(hs: HStar, delta: int) -> None:

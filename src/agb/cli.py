@@ -24,6 +24,16 @@ def _parse_gens(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"bad generator list: {text!r}")
 
 
+def _parse_r(text: str):
+    if text == "all":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer or 'all', got {text!r}")
+
+
 def _emit(payload: dict, as_json: bool, text_lines) -> None:
     if as_json:
         print(json.dumps(payload, indent=2))
@@ -152,13 +162,24 @@ def _cmd_bounds(parser, args) -> int:
 
 def _cmd_ghw(parser, args) -> int:
     hs = _resolve_hstar(parser, args)
-    value = bounds_mod.ghw_bound(hs, args.i, args.r, node_cap=args.node_cap)
-    payload = {"r": args.r, "i": args.i, "bound": value}
+    if args.r == "all":
+        # i < 1 still asks for (1, i), so it fails the index check
+        pairs = [(r, args.i) for r in range(1, max(args.i, 1) + 1)]
+        table = bounds_mod.ghw_table(hs, pairs, node_cap=args.node_cap)
+        payload = {"i": args.i, "bounds": [e.bound for e in table.entries]}
 
-    def text(p):
-        yield f"r: {p['r']}"
-        yield f"i: {p['i']}"
-        yield f"bound: {p['bound']}"
+        def text(p):
+            for r, bound in enumerate(p["bounds"], start=1):
+                yield f"{r}: {bound}"
+    else:
+        value = bounds_mod.ghw_bound(hs, args.i, args.r,
+                                     node_cap=args.node_cap)
+        payload = {"r": args.r, "i": args.i, "bound": value}
+
+        def text(p):
+            yield f"r: {p['r']}"
+            yield f"i: {p['i']}"
+            yield f"bound: {p['bound']}"
 
     _emit(payload, args.json, text)
     return 0
@@ -274,18 +295,21 @@ def run_verification(q0: int, max_dim: int | None = None,
         dims_checked += 1
 
     if ghw_r:
+        queries = []
         for m in hs.members:
             c = evalcode.code(table, m)
             dim = c.dimension
             if dim == 0 or dim > cap_dim:
                 continue
-            for r in range(1, min(ghw_r, dim) + 1):
-                if oracle.gaussian_binomial(dim, r, q) > budget.max_subspaces:
-                    continue
-                dr = oracle.weight_hierarchy(c.matrix, r, budget)
-                bound = bounds_mod.ghw_bound(hs, dim, r)
-                record(f"ghw-m{m}-r{r}", dr >= bound,
-                       f"dim {dim}: true {dr} >= bound {bound}")
+            queries += [(m, c, r) for r in range(1, min(ghw_r, dim) + 1)
+                        if oracle.gaussian_binomial(dim, r, q)
+                        <= budget.max_subspaces]
+        ghw = bounds_mod.ghw_table(hs, [(r, c.dimension)
+                                        for _, c, r in queries])
+        for (m, c, r), entry in zip(queries, ghw.entries):
+            dr = oracle.weight_hierarchy(c.matrix, r, budget)
+            record(f"ghw-m{m}-r{r}", dr >= entry.bound,
+                   f"dim {c.dimension}: true {dr} >= bound {entry.bound}")
 
     for delta in range(1, hs.n + 1):
         mat = evalcode.improved_generators(table, delta)
@@ -336,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_g = subs.add_parser("ghw", help="generalized-weight bound")
     _add_hstar_flags(p_g)
-    p_g.add_argument("--r", type=int, required=True)
+    p_g.add_argument("--r", type=_parse_r, required=True,
+                     help="an integer r, or 'all' for every r <= i")
     p_g.add_argument("--i", type=int, required=True)
     p_g.add_argument("--node-cap", type=int, default=bounds_mod.DEFAULT_NODE_CAP,
                      dest="node_cap")

@@ -80,7 +80,7 @@ class DeltaOutOfRange(AgbError):
 
 
 class EnumerationCapExceeded(AgbError):
-    """Subset enumeration hit the configured node cap."""
+    """The generalized-weight sweep visited more ideals than its node cap."""
 
     def __init__(self, cap: int):
         super().__init__(f"enumeration exceeded the node cap of {cap}")
@@ -99,6 +99,10 @@ class UnsupportedField(AgbError):
 
 class DivisionByZero(AgbError):
     """Multiplicative inverse of zero requested."""
+
+
+class MatrixShapeMismatch(AgbError, ValueError):
+    """Matrix data does not hold rows*cols entries."""
 
 
 # -- evalcode ----------------------------------------------------------------

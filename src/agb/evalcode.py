@@ -268,6 +268,8 @@ def load_table(path) -> EvaluationTable:
             obj = json.load(fh)
     except OSError as exc:
         raise UnreadableFile(f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise UnreadableFile(f"cannot read {path}: not JSON ({exc})") from exc
     try:
         fld = field(int(obj["field"]["p"]), int(obj["field"]["k"]))
         n = int(obj["n"])

@@ -123,9 +123,3 @@ class CodeChain:
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.n:
             raise IndexOutOfRange(f"index {i} outside 1..{self.n}")
-
-
-def chain_from_matrix_file(path) -> CodeChain:
-    """Build a chain from a matrix file in the gf JSON schema."""
-    from .gf import load_matrix
-    return CodeChain.from_matrix(load_matrix(path))

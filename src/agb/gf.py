@@ -14,8 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (DivisionByZero, UnreadableFile, UnsupportedField,
-                     UnwritableFile)
+from .errors import (DivisionByZero, MatrixShapeMismatch, UnreadableFile,
+                     UnsupportedField, UnwritableFile)
 
 _SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
 _MAX_ORDER = 256
@@ -336,7 +336,8 @@ class FieldMatrix:
         data = np.array(obj["data"], dtype=np.int32)
         shape = (int(obj["rows"]), int(obj["cols"]))
         if data.size != shape[0] * shape[1]:
-            raise ValueError("data length does not match rows*cols")
+            raise MatrixShapeMismatch(
+                f"{data.size} entries do not fill {shape[0]}x{shape[1]}")
         return cls(fld, data.reshape(shape))
 
 
@@ -431,4 +432,6 @@ def load_matrix(path) -> FieldMatrix:
             obj = json.load(fh)
     except OSError as exc:
         raise UnreadableFile(f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise UnreadableFile(f"cannot read {path}: not JSON ({exc})") from exc
     return FieldMatrix.from_json(obj)

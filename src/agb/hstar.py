@@ -31,7 +31,9 @@ class HStar:
     """Ordered n-element jump set m_1 < ... < m_n over a numerical semigroup.
 
     The sentinel ``M0 = -1`` stands for the zero code preceding the chain.
-    Instances are immutable; equality ignores the construction mode.
+    Every construction, direct or through a ``from_*`` classmethod, checks
+    the structural invariants once, in ``__init__``.  Instances are
+    immutable; equality ignores the construction mode.
     """
 
     M0 = -1
@@ -42,10 +44,10 @@ class HStar:
     def __init__(self, semigroup: NumericalSemigroup, n: int, members, mode: HStarMode):
         self.semigroup = semigroup
         self.n = int(n)
-        self.members = tuple(int(m) for m in members)
+        self.members = tuple(sorted(int(m) for m in members))
+        self._members_arr = _validate(semigroup, self.n, self.members)
         self.mode = mode
         self._member_set = frozenset(self.members)
-        self._members_arr = None
         self._hash = hash((semigroup, self.n, self.members))
 
     # -- constructors ---------------------------------------------------
@@ -53,10 +55,8 @@ class HStar:
     @classmethod
     def from_explicit(cls, semigroup: NumericalSemigroup, n: int, members,
                       mode: HStarMode = HStarMode.EXPLICIT) -> "HStar":
-        """Validate a caller-supplied jump set and wrap it."""
-        members = sorted(set(int(m) for m in members))
-        _validate(semigroup, n, members)
-        return cls(semigroup, n, members, mode)
+        """Wrap a caller-supplied jump set, ignoring order and repeats."""
+        return cls(semigroup, n, set(int(m) for m in members), mode)
 
     @classmethod
     def from_equiv_divisor(cls, semigroup: NumericalSemigroup, n: int) -> "HStar":
@@ -67,7 +67,6 @@ class HStar:
         _require_length(semigroup, n)
         members = semigroup.elements_up_to(n - 1)
         members.extend(n + l for l in semigroup.gaps)
-        _validate(semigroup, n, members)
         return cls(semigroup, n, members, HStarMode.EQUIV_DIVISOR)
 
     @classmethod
@@ -93,7 +92,6 @@ class HStar:
             raise InternalInvariantViolation(
                 "the two isometry-dual constructions disagree"
             )
-        _validate(semigroup, n, members)
         return cls(semigroup, n, members, HStarMode.ISOMETRY_DUAL)
 
     @classmethod
@@ -124,11 +122,10 @@ class HStar:
         members = [m for m in range(top + 1)
                    if semigroup.contains(m) and steps[m] == 0]
         try:
-            _validate(semigroup, n, members)
+            return cls(semigroup, n, members, HStarMode.ABUNDANCE)
         except (WrongCardinality, NotSubsetOfH, LowRangeMismatch,
                 ClosureViolation) as exc:
             raise ResultInvalid(str(exc)) from exc
-        return cls(semigroup, n, members, HStarMode.ABUNDANCE)
 
     @classmethod
     def from_dimension_chain(cls, dims, semigroup: NumericalSemigroup) -> "HStar":
@@ -153,7 +150,6 @@ class HStar:
             )
         members = np.nonzero(steps == 1)[0]
         _require_length(semigroup, n)
-        _validate(semigroup, n, members)
         return cls(semigroup, n, members, HStarMode.CODE_CHAIN)
 
     # -- queries --------------------------------------------------------
@@ -179,9 +175,7 @@ class HStar:
         return top + 1
 
     def members_array(self) -> np.ndarray:
-        """Members as a cached numpy vector."""
-        if self._members_arr is None:
-            self._members_arr = np.array(self.members, dtype=np.int64)
+        """Members as a numpy vector, the one validation built."""
         return self._members_arr
 
     @property
@@ -211,12 +205,15 @@ def _require_length(semigroup: NumericalSemigroup, n: int) -> None:
         )
 
 
-def _validate(semigroup: NumericalSemigroup, n: int, members) -> None:
-    """Check every structural invariant of a jump set; raise on the first failure."""
+def _validate(semigroup: NumericalSemigroup, n: int, members) -> np.ndarray:
+    """Check every invariant of a sorted jump set; raise on the first failure.
+
+    Returns the members as an int64 vector.
+    """
     _require_length(semigroup, n)
     g = semigroup.genus
     top = n + 2 * g - 1
-    members = np.sort(np.asarray(members, dtype=np.int64))
+    members = np.asarray(members, dtype=np.int64)
     if len(members) != n:
         raise WrongCardinality(f"expected {n} members, got {len(members)}")
     if len(members) and (members[0] < 0 or members[-1] > top):
@@ -248,3 +245,4 @@ def _validate(semigroup: NumericalSemigroup, n: int, members) -> None:
             raise ClosureViolation(
                 f"{m} is absent but {m + bad} = {m} + {bad} is present"
             )
+    return members

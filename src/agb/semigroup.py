@@ -164,8 +164,3 @@ class NumericalSemigroup:
     def __repr__(self):
         gens = ",".join(str(g) for g in self.generators)
         return f"NumericalSemigroup(<{gens}>, genus={self.genus})"
-
-
-def from_generators(gens) -> NumericalSemigroup:
-    """Module-level alias for :meth:`NumericalSemigroup.from_generators`."""
-    return NumericalSemigroup.from_generators(gens)

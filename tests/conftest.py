@@ -1,6 +1,7 @@
 from functools import reduce
 from itertools import combinations
 from math import gcd
+from operator import or_
 
 import numpy as np
 import pytest
@@ -42,6 +43,17 @@ def dense_profile(hs):
     packed = np.packbits(ok, axis=1, bitorder="little")
     masks = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
     return tuple(int(c) for c in ok.sum(axis=1)), masks
+
+
+def ghw_bound_naive(hs, i, r):
+    """d*_r(i) by plain enumeration over all r-subsets of the sets 1..i.
+
+    The brute-force subset reference for the library's sweep over ideals,
+    built on the masks of :func:`dense_profile`.  Desk scale only.
+    """
+    masks = dense_profile(hs)[1][:i]
+    return min(bin(reduce(or_, sub)).count("1")
+               for sub in combinations(masks, r))
 
 
 @pytest.fixture(scope="session")

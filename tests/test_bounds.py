@@ -1,18 +1,34 @@
 import tracemalloc
+from functools import reduce
+from math import gcd
+from operator import or_
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from agb import (HStar, NumericalSemigroup, a_set, bound_table, d_ord, d_star,
                  feng_rao_improved_dim, ghw_bound, ghw_table, goppa_compare,
                  improved_profile, l_set_check, lambda_profile, lambda_star)
-from agb.bounds import (_a_count, a_counts_by_index, d_ord_threshold,
-                        ghw_bound_naive)
+from agb.bounds import _a_count, a_counts_by_index
 from agb.errors import (DeltaOutOfRange, EnumerationCapExceeded,
                         IndexOutOfRange, NotAMember, NotIsometryDual)
 
-from conftest import SUZUKI_TRUE_COUNTS, dense_profile, sieve_membership
+from conftest import (SUZUKI_TRUE_COUNTS, dense_profile, ghw_bound_naive,
+                      sieve_membership)
 
 TWO_THREE_COUNTS = (8, 6, 5, 4, 3, 2, 2, 1)
+
+
+def d_ord_threshold(hs, i):
+    """Dual-side order bound in its original min-over-threshold form.
+
+    Minimizes the A-set size over jump values h >= n+2g-1 - m_i.  Agrees
+    with :func:`agb.d_ord`; kept here so the reduction itself is testable.
+    """
+    S = hs.semigroup
+    cutoff = hs.n + 2 * S.genus - 1 - hs.members[i - 1]
+    return min(_a_count(S, h) for h in hs.members if h >= cutoff)
 
 
 def ref_counts(hs):
@@ -320,50 +336,93 @@ def test_ghw_pruned_equals_naive(klein_hstar, two_three_hstar):
                 assert ghw_bound(hs, i, r) == ghw_bound_naive(hs, i, r)
 
 
-def recursive_ghw_search(hs, i, r):
-    """The branch-and-bound search one node at a time, recursively.
+@st.composite
+def small_jump_sets(draw):
+    """Jump sets over random semigroups of multiplicity <= 6, with n <= 24."""
+    mult = draw(st.integers(2, 6))
+    others = draw(st.lists(st.integers(mult + 1, 3 * mult), max_size=3))
+    gens = (mult, *others)
+    assume(reduce(gcd, gens) == 1)
+    S = NumericalSemigroup.from_generators(gens)
+    assume(2 * S.genus + 3 <= 24)
+    n = draw(st.integers(2 * S.genus + 3, 24))
+    build = draw(st.sampled_from([HStar.from_equiv_divisor,
+                                  HStar.from_isometry_dual]))
+    return build(S, n)
 
-    Returns the bound and the number of nodes visited, the count the node
-    cap of ``ghw_bound`` applies to.  Desk scale only (recursion depth r).
+
+@settings(max_examples=60, deadline=None)
+@given(small_jump_sets(), st.data())
+def test_ghw_table_matches_subset_brute_force(hs, data):
+    pairs = [(r, i) for i in range(1, hs.n + 1) for r in range(1, i + 1)]
+    table = {(e.r, e.i): e.bound for e in ghw_table(hs, pairs).entries}
+    _, masks = dense_profile(hs)
+    union = 0
+    for i in range(1, hs.n + 1):
+        union |= masks[i - 1]
+        assert table[1, i] == d_star(hs, i)
+        assert table[i, i] == bin(union).count("1")
+        if i <= 12:
+            for r in range(1, i + 1):
+                assert table[r, i] == ghw_bound_naive(hs, i, r), (r, i)
+    for r, i in data.draw(st.lists(st.sampled_from(pairs), min_size=1,
+                                   max_size=4)):
+        assert ghw_bound(hs, i, r) == table[r, i]
+
+
+def recursive_ideal_sweep(hs, pairs):
+    """The sweep over ideals one ideal at a time, recursively.
+
+    Visits the antichains of generators in the library's order: the last
+    generator from the highest index down, each new one above the last and
+    outside the ideal so far.  The incumbent of a requested (r, i) is the
+    least size of a visited ideal E with last generator index <= i and
+    #(E ∩ M_i) >= r, found by scanning every visited ideal.  A subtree is
+    cut when its ideal is as large as every incumbent right of its last
+    generator m_j that it can still reach: (r, i) with r <= i - slack, where
+    slack counts the positions 1..j outside the ideal.  Returns the bounds
+    and the number of ideals visited, the count the node cap applies to.
+    Desk scale only.
     """
-    counts, dense_masks = dense_profile(hs)
-    order = sorted(range(i), key=lambda j: counts[j])
-    masks = [dense_masks[j] for j in order]
-    best = bin(_or_all(masks[:r])).count("1")
-    nodes = 0
+    _, masks = dense_profile(hs)
+    imax = max(i for _, i in pairs)
+    visited = []
 
-    def dfs(pos, chosen, union):
-        nonlocal best, nodes
-        if chosen == r:
-            best = min(best, bin(union).count("1"))
+    def incumbent(r, i):
+        return min((size for size, last, ideal in visited
+                    if last <= i and bin(ideal % (1 << i)).count("1") >= r),
+                   default=hs.n + 1)
+
+    def visit(ideal, last):
+        size = bin(ideal).count("1")
+        visited.append((size, last, ideal))
+        slack = last - bin(ideal % (1 << last)).count("1")
+        right = [incumbent(r, i) for r, i in pairs
+                 if i > last and r <= i - slack]
+        if not right or size >= max(right):
             return
-        for j in range(pos, i - (r - chosen) + 1):
-            nodes += 1
-            nxt = union | masks[j]
-            if bin(nxt).count("1") < best:
-                dfs(j + 1, chosen + 1, nxt)
+        for j in range(imax, last, -1):
+            if not (ideal >> (j - 1)) & 1:
+                visit(ideal | masks[j - 1], j)
 
-    dfs(0, 0, 0)
-    return best, nodes
-
-
-def _or_all(masks):
-    out = 0
-    for m in masks:
-        out |= m
-    return out
+    for j in range(imax, 0, -1):
+        visit(masks[j - 1], j)
+    return {(r, i): incumbent(r, i) for r, i in pairs}, len(visited)
 
 
-def test_ghw_node_cap_counts_every_visited_node(klein_hstar, suzuki_hstar):
-    # the search charges a frame's candidates when it pushes the frame; the
-    # cap must still fall exactly where one-by-one counting puts it
+def test_ghw_node_cap_counts_every_visited_ideal(klein_hstar, suzuki_hstar):
     for hs, pairs in ((klein_hstar, [(2, 9), (3, 12), (4, 15), (6, 20)]),
                       (suzuki_hstar, [(2, 20), (3, 30), (5, 24), (8, 30)])):
         for r, i in pairs:
-            best, nodes = recursive_ghw_search(hs, i, r)
-            assert ghw_bound(hs, i, r, node_cap=nodes) == best
+            values, ideals = recursive_ideal_sweep(hs, [(r, i)])
+            assert ghw_bound(hs, i, r, node_cap=ideals) == values[r, i]
             with pytest.raises(EnumerationCapExceeded):
-                ghw_bound(hs, i, r, node_cap=nodes - 1)
+                ghw_bound(hs, i, r, node_cap=ideals - 1)
+        values, ideals = recursive_ideal_sweep(hs, pairs)
+        table = ghw_table(hs, pairs, node_cap=ideals)
+        assert {(e.r, e.i): e.bound for e in table.entries} == values
+        with pytest.raises(EnumerationCapExceeded):
+            ghw_table(hs, pairs, node_cap=ideals - 1)
 
 
 def test_ghw_monotonicity(klein_hstar):
@@ -391,6 +450,19 @@ def test_ghw_bound_node_cap(suzuki_hstar):
     with pytest.raises(EnumerationCapExceeded) as exc:
         ghw_bound(suzuki_hstar, 40, 12, node_cap=50)
     assert exc.value.cap == 50
+
+
+def test_ghw_r_near_i_answers_under_small_cap():
+    # only ideals missing at most i - r of the positions up to their last
+    # generator can count, so the sweep must not list the others first
+    hs = HStar.from_equiv_divisor(NumericalSemigroup.from_generators([16, 17]),
+                                  256)
+    _, masks = dense_profile(hs)
+    union = reduce(or_, masks)
+    all_but_one = min(bin(reduce(or_, masks[:k] + masks[k + 1:])).count("1")
+                      for k in range(256))
+    assert ghw_bound(hs, 256, 256, node_cap=1000) == bin(union).count("1")
+    assert ghw_bound(hs, 256, 255, node_cap=1000) == all_but_one
 
 
 def test_bound_table_structure(suzuki_hstar, f16_hstar):

@@ -164,6 +164,28 @@ def test_ghw_command(capsys):
     assert json.loads(out) == {"r": 2, "i": 4, "bound": 6}
 
 
+def test_ghw_all_r_answers_every_r(capsys):
+    # the r-subset search ran out its cap on most of these 64 values
+    argv = ["ghw", *SUZUKI_ARGS, "--r", "all", "--i", "64"]
+    code, out, _ = run(capsys, [*argv, "--json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["i"] == 64
+    # the r largest jump values form the smallest union of r sets at i = n
+    assert payload["bounds"] == list(range(1, 65))
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert out.splitlines() == [f"{r}: {r}" for r in range(1, 65)]
+    code, out, _ = run(capsys, ["ghw", *SUZUKI_ARGS, "--r", "all", "--i", "40",
+                                "--json"])
+    bounds = json.loads(out)["bounds"]
+    assert len(bounds) == 40
+    for r in (1, 2, 12):
+        code, out, _ = run(capsys, ["ghw", *SUZUKI_ARGS, "--r", str(r),
+                                    "--i", "40", "--json"])
+        assert json.loads(out)["bound"] == bounds[r - 1]
+
+
 def test_improved_command(capsys):
     code, out, _ = run(capsys, ["improved", *SUZUKI_ARGS,
                                 "--delta", "4", "--json"])
@@ -313,7 +335,7 @@ def test_emit_into_missing_directory_exit_1(flags, tmp_path):
 
 
 def test_deep_ghw_search_hits_node_cap_not_recursion_limit():
-    # r = 1500 goes deeper than Python's recursion limit
+    # a query this deep ends at the node cap, not in a RecursionError
     assert_clean_error_exit(["ghw", "--gens", "16,17", "--n", "4096",
                              "--mode", "equiv-divisor", "--r", "1500",
                              "--i", "1600", "--node-cap", "10000"],

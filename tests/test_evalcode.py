@@ -139,6 +139,13 @@ def test_table_file_errors(tmp_path, herm2_table):
         save_table(herm2_table, tmp_path / "absent" / "h2.json")
 
 
+def test_load_table_not_json(tmp_path):
+    path = tmp_path / "t.json"
+    path.write_text("not json")
+    with pytest.raises(UnreadableFile):
+        load_table(path)
+
+
 def test_load_table_genus_mismatch(tmp_path, herm2_table):
     path = tmp_path / "h2.json"
     save_table(herm2_table, path)

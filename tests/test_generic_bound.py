@@ -194,11 +194,10 @@ def test_nu_rejects_wrong_length(herm2_chain):
 
 
 def test_chain_from_matrix_file(tmp_path, herm2_table):
-    from agb import save_matrix
+    from agb import load_matrix, save_matrix
     from agb.evalcode import chain_matrix
-    from agb.generic_bound import chain_from_matrix_file
     path = tmp_path / "chain.json"
     save_matrix(chain_matrix(herm2_table), path)
-    chain = chain_from_matrix_file(path)
+    chain = CodeChain.from_matrix(load_matrix(path))
     assert chain.n == 8
     assert chain.generic_bound(1) == 8

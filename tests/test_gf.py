@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agb import FieldMatrix, dual, field, rref
-from agb.errors import DivisionByZero, UnreadableFile, UnsupportedField
+from agb.errors import (DivisionByZero, MatrixShapeMismatch, UnreadableFile,
+                        UnsupportedField)
 from agb.gf import Echelon, _digits, _is_irreducible
 
 PINNED = {(2, 2): 7, (2, 3): 11, (2, 4): 19, (3, 2): 10}
@@ -303,6 +304,21 @@ def test_load_matrix_missing_file(tmp_path):
     from agb import load_matrix
     with pytest.raises(UnreadableFile):
         load_matrix(tmp_path / "absent.json")
+
+
+def test_load_matrix_not_json(tmp_path):
+    from agb import load_matrix
+    path = tmp_path / "m.json"
+    path.write_text("not json")
+    with pytest.raises(UnreadableFile):
+        load_matrix(path)
+
+
+def test_matrix_from_json_shape_mismatch():
+    obj = {"p": 2, "k": 2, "rows": 1, "cols": 2, "data": [1]}
+    with pytest.raises(MatrixShapeMismatch) as exc:
+        FieldMatrix.from_json(obj)
+    assert isinstance(exc.value, ValueError)
 
 
 def test_large_field_construction():

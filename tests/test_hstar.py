@@ -110,6 +110,41 @@ def test_explicit_rejects_closure_violation():
         HStar.from_explicit(S, 9, (0, 3, 4, 6, 7, 8, 11, 13, 14))
 
 
+def test_direct_construction_is_validated(two_three):
+    with pytest.raises(WrongCardinality):
+        HStar(two_three, 8, [0, 5, 99], HStarMode.EXPLICIT)
+    with pytest.raises(NotSubsetOfH):
+        HStar(two_three, 8, (0, 1, 2, 3, 4, 5, 6, 7), HStarMode.EXPLICIT)
+    hs = HStar(two_three, 8, reversed(TWO_THREE_8), HStarMode.EXPLICIT)
+    assert hs.members == TWO_THREE_8
+    assert hs.members_array().tolist() == list(TWO_THREE_8)
+
+
+def test_each_constructor_validates_once(two_three, monkeypatch):
+    import agb.hstar as hstar_mod
+    calls = []
+    validate = hstar_mod._validate
+
+    def counting(*args):
+        calls.append(args)
+        return validate(*args)
+
+    monkeypatch.setattr(hstar_mod, "_validate", counting)
+    builds = [
+        lambda: HStar.from_explicit(two_three, 8, TWO_THREE_8),
+        lambda: HStar.from_equiv_divisor(two_three, 8),
+        lambda: HStar.from_isometry_dual(two_three, 8),
+        lambda: HStar.from_abundance(two_three, 8, [0] * 8 + [1, 1]),
+        lambda: HStar.from_dimension_chain([1, 1, 2, 3, 4, 5, 6, 7, 7, 8],
+                                           two_three),
+        lambda: HStar(two_three, 8, TWO_THREE_8, HStarMode.EXPLICIT),
+    ]
+    for build in builds:
+        calls.clear()
+        build()
+        assert len(calls) == 1
+
+
 def test_length_too_small(two_three):
     with pytest.raises(LengthTooSmall):
         HStar.from_equiv_divisor(two_three, 4)
