@@ -1,20 +1,21 @@
-"""Command-line frontend.
+"""Command-line entry point: argument parsing and output formatting only.
 
-Subcommands: semigroup, hstar, bounds, ghw, improved, curve, verify.
-Exit codes: 0 success, 1 domain error (error class name on stderr), 2 usage.
-Flags never change numeric results, only formatting.
+Subcommands: semigroup, hstar, bounds, ghw, improved, curve, verify (checks in
+:mod:`agb.verify`).  Exit codes: 0 success, 1 domain error (class name on
+stderr) or closed stdout, 2 usage.  Flags change formatting, never numbers.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from . import bounds as bounds_mod
-from . import evalcode, oracle
+from . import evalcode
 from .errors import AgbError, SchemaError, UnreadableFile
-from .generic_bound import CodeChain
 from .hstar import HStar
 from .semigroup import NumericalSemigroup
+from .verify import run_verification
 
 
 def _parse_gens(text: str) -> tuple:
@@ -40,6 +41,8 @@ def _emit(payload: dict, as_json: bool, text_lines) -> None:
     else:
         for line in text_lines(payload):
             print(line)
+    # a reader that quit early shows up here, inside main, not at exit
+    sys.stdout.flush()
 
 
 def _resolve_hstar(parser: argparse.ArgumentParser, args) -> HStar:
@@ -239,104 +242,18 @@ def _cmd_curve(parser, args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    checks = run_verification(args.q0, max_dim=args.max_dim, ghw_r=args.ghw)
-    all_ok = all(c["ok"] for c in checks)
-    if args.json:
-        print(json.dumps({"checks": checks, "all_ok": all_ok}, indent=2))
-    else:
-        for c in checks:
+    checks = run_verification(evalcode.hermitian_table(args.q0),
+                              max_dim=args.max_dim, ghw_r=args.ghw)
+    payload = {"checks": checks, "all_ok": all(c["ok"] for c in checks)}
+
+    def text(p):
+        for c in p["checks"]:
             mark = "ok  " if c["ok"] else "FAIL"
-            print(f"{mark} {c['name']}: {c['detail']}")
-        print(f"{'all checks passed' if all_ok else 'SOME CHECKS FAILED'}")
-    return 0 if all_ok else 1
+            yield f"{mark} {c['name']}: {c['detail']}"
+        yield "all checks passed" if p["all_ok"] else "SOME CHECKS FAILED"
 
-
-def run_verification(q0: int, max_dim: int | None = None,
-                     ghw_r: int | None = None,
-                     budget: oracle.SearchBudget | None = None) -> list[dict]:
-    """Cross-check every bound against brute force on a built-in curve.
-
-    Returns one record per inequality checked.  Used by ``agb verify`` and
-    directly from the test suite.
-    """
-    budget = budget or oracle.SearchBudget.from_env()
-    checks = []
-
-    def record(name, ok, detail):
-        checks.append({"name": name, "ok": bool(ok), "detail": detail})
-
-    table = evalcode.hermitian_table(q0)
-    hs = evalcode.empirical_hstar(table)
-    ref = HStar.from_equiv_divisor(table.semigroup, table.n)
-    record("hstar-matches-construction", hs == ref,
-           f"measured jumps {list(hs.members)}")
-
-    chain = CodeChain(table.field, evalcode.chain_matrix(table).data)
-    profile = bounds_mod.lambda_profile(hs)
-    q = table.field.q
-    cap_dim = max_dim if max_dim is not None else table.n
-
-    dims_checked = 0
-    for m in range(table.top_order + 1):
-        c = evalcode.code(table, m)
-        dim = c.dimension
-        if dim == 0 or dim > cap_dim or q ** dim > budget.max_codewords:
-            continue
-        d_true = oracle.min_distance(c.matrix, budget)
-        ds = profile.d_star(dim)
-        gb = chain.generic_bound(dim)
-        record(f"dstar-m{m}", d_true >= ds,
-               f"dim {dim}: true {d_true} >= bound {ds}")
-        record(f"generic-m{m}", d_true >= gb,
-               f"dim {dim}: true {d_true} >= bound {gb}")
-        if m < table.n:
-            record(f"goppa-m{m}", d_true >= table.n - m,
-                   f"true {d_true} >= {table.n - m}")
-        dims_checked += 1
-
-    if ghw_r:
-        queries = []
-        for m in hs.members:
-            c = evalcode.code(table, m)
-            dim = c.dimension
-            if dim == 0 or dim > cap_dim:
-                continue
-            queries += [(m, c, r) for r in range(1, min(ghw_r, dim) + 1)
-                        if oracle.gaussian_binomial(dim, r, q)
-                        <= budget.max_subspaces]
-        ghw = bounds_mod.ghw_table(hs, [(r, c.dimension)
-                                        for _, c, r in queries])
-        for (m, c, r), entry in zip(queries, ghw.entries):
-            dr = oracle.weight_hierarchy(c.matrix, r, budget)
-            record(f"ghw-m{m}-r{r}", dr >= entry.bound,
-                   f"dim {c.dimension}: true {dr} >= bound {entry.bound}")
-
-    for delta in range(1, hs.n + 1):
-        mat = evalcode.improved_generators(table, delta)
-        if mat.nrows == 0 or mat.nrows > cap_dim:
-            continue
-        if q ** mat.nrows > budget.max_codewords:
-            continue
-        d_true = oracle.min_distance(mat, budget)
-        record(f"improved-delta{delta}", d_true >= delta,
-               f"dim {mat.nrows}: true {d_true} >= designed {delta}")
-
-    x = oracle.find_isometry_vector(chain)
-    if hs.is_isometry_dual():
-        ok = x is not None
-        detail = f"witness {list(x)}" if ok else "no witness found"
-        record("isometry-witness", ok, detail)
-        if ok:
-            try:
-                evalcode.biorthogonal_adjust(table, x)
-                record("biorthogonal-adjust", True,
-                       "pairing pattern holds for all rows")
-            except AgbError as exc:
-                record("biorthogonal-adjust", False, str(exc))
-    else:
-        record("isometry-witness", x is None,
-               "correctly absent" if x is None else f"unexpected witness {x}")
-    return checks
+    _emit(payload, args.json, text)
+    return 0 if payload["all_ok"] else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -409,6 +326,11 @@ def main(argv=None) -> int:
         parser.error(f"unknown command {args.command}")
     except AgbError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout; on devnull the flush at exit cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
         return 1
     return 0
 

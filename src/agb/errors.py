@@ -63,8 +63,8 @@ class MalformedChain(AgbError):
 
 # -- bounds ------------------------------------------------------------------
 
-class IndexOutOfRange(AgbError):
-    """Requested table index is outside 1..n."""
+class IndexOutOfRange(AgbError, ValueError):
+    """Requested index is outside its 1-based range, such as 1..n."""
 
 
 class NotAMember(AgbError):
@@ -102,7 +102,7 @@ class DivisionByZero(AgbError):
 
 
 class MatrixShapeMismatch(AgbError, ValueError):
-    """Matrix data does not hold rows*cols entries."""
+    """Matrix or vector data does not have the shape the operation needs."""
 
 
 # -- evalcode ----------------------------------------------------------------
@@ -123,7 +123,7 @@ class UnwritableFile(AgbError):
     """Output file cannot be created or written."""
 
 
-class InvariantViolation(AgbError):
+class InvariantViolation(AgbError, ValueError):
     """Structurally valid input violates a semantic invariant."""
 
 

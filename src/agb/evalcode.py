@@ -2,9 +2,9 @@
 
 An :class:`EvaluationTable` holds, for every pole order up to n+2g-1, the
 values of one function with that pole order at n fixed points.  Truncating the
-table at a budget m yields the generator matrix of the code at m; measuring
-ranks along the way recovers the jump set empirically, with no curve machinery
-at runtime.  Built-in constructor: Hermitian curves for q0 = 2, 3.
+table at a budget m yields the generator matrix of the code at m; one rank
+pass per table measures every dimension and so recovers the jump set
+empirically, with no curve machinery at runtime.  Built-in constructor: Hermitian curves for q0 = 2, 3.
 """
 
 import json
@@ -13,9 +13,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bounds
-from .errors import (BudgetOutOfRange, DeltaOutOfRange, InvariantViolation,
-                     NotIsometryDual, SchemaError, UnreadableFile,
-                     UnsupportedParameter, UnwritableFile, ZeroPivot)
+from .errors import (BudgetOutOfRange, InvariantViolation, NotIsometryDual,
+                     SchemaError, UnreadableFile, UnsupportedParameter,
+                     UnwritableFile, ZeroPivot)
+from .generic_bound import CodeChain
 from .gf import Echelon, FieldMatrix, FiniteField, field
 from .hstar import HStar
 from .semigroup import NumericalSemigroup
@@ -34,7 +35,7 @@ class EvaluationTable:
     all-ones vector; every value lies in the field.
     """
 
-    __slots__ = ("field", "points", "functions", "semigroup")
+    __slots__ = ("field", "points", "functions", "semigroup", "_dims")
 
     def __init__(self, fld: FiniteField, points, functions,
                  semigroup: NumericalSemigroup):
@@ -45,6 +46,7 @@ class EvaluationTable:
             for po, vals in functions
         )
         self.semigroup = semigroup
+        self._dims = None
         self._check()
 
     @property
@@ -137,32 +139,25 @@ def code(table: EvaluationTable, m: int) -> OnePointCode:
             f"budget {m} outside [0, {table.top_order}]"
         )
     mat = FieldMatrix(table.field, table.rows_up_to(m))
-    dim = _incremental_ranks(table.field, mat.data)[-1] if mat.nrows else 0
-    return OnePointCode(table, m, mat, dim)
-
-
-def _incremental_ranks(fld: FiniteField, rows: np.ndarray) -> list[int]:
-    """Rank after each prefix of rows, via one shared echelon pass."""
-    echelon = Echelon(fld)
-    ranks = []
-    for row in rows:
-        echelon.insert(row)
-        ranks.append(len(echelon.rows))
-    return ranks
+    return OnePointCode(table, m, mat, measured_dimensions(table)[m])
 
 
 def measured_dimensions(table: EvaluationTable) -> list[int]:
-    """Measured code dimension at every budget m = 0 .. n+2g-1."""
-    rows = np.stack([f.values for f in table.functions])
-    ranks = _incremental_ranks(table.field, rows)
-    poles = [f.pole_order for f in table.functions]
-    dims = []
-    j = -1
-    for m in range(table.top_order + 1):
-        while j + 1 < len(poles) and poles[j + 1] <= m:
-            j += 1
-        dims.append(ranks[j] if j >= 0 else 0)
-    return dims
+    """Measured code dimension at every budget m = 0 .. n+2g-1.
+
+    One echelon pass over the rows in pole order, run on first use and kept
+    on the table; the table never changes, so neither do its ranks.
+    """
+    if table._dims is None:
+        echelon = Echelon(table.field)
+        rows = {f.pole_order: f.values for f in table.functions}
+        dims = []
+        for m in range(table.top_order + 1):
+            if m in rows:
+                echelon.insert(rows[m])
+            dims.append(len(echelon.rows))
+        table._dims = tuple(dims)
+    return list(table._dims)
 
 
 def empirical_hstar(table: EvaluationTable) -> HStar:
@@ -181,18 +176,15 @@ def improved_generators(table: EvaluationTable, delta: int,
                         adjust=None) -> FieldMatrix:
     """Generator matrix of the improved code with designed distance delta.
 
-    Rows are the chain rows at indices whose profile count reaches delta.
-    When ``adjust`` is an isometry witness vector, the rows first undergo the
-    biorthogonal adjustment and the same indices are selected from the result.
+    Rows are the chain rows at the indices of ``bounds.improved_profile``,
+    those whose profile count reaches delta.  When ``adjust`` is an isometry
+    witness vector, the rows first undergo the biorthogonal adjustment and
+    the same indices are selected from the result.
     """
-    hs = empirical_hstar(table)
-    if not 1 <= delta <= hs.n:
-        raise DeltaOutOfRange(f"delta {delta} outside 1..{hs.n}")
-    profile = bounds.lambda_profile(hs)
+    indices = bounds.improved_profile(empirical_hstar(table), delta).indices
     chain = (biorthogonal_adjust(table, adjust) if adjust is not None
              else chain_matrix(table))
-    keep = [i - 1 for i in range(1, hs.n + 1) if profile.count(i) >= delta]
-    return FieldMatrix(table.field, chain.data[keep])
+    return FieldMatrix(table.field, chain.data[[i - 1 for i in indices]])
 
 
 def biorthogonal_adjust(table: EvaluationTable, x) -> FieldMatrix:
@@ -290,7 +282,6 @@ def load_table(path) -> EvaluationTable:
     return EvaluationTable(fld, points, functions, S)
 
 
-def code_chain(table: EvaluationTable):
+def code_chain(table: EvaluationTable) -> CodeChain:
     """Code chain over the empirical jump rows; see :mod:`agb.generic_bound`."""
-    from .generic_bound import CodeChain
     return CodeChain(table.field, chain_matrix(table).data)

@@ -10,7 +10,7 @@ minimum bounds the minimum distance of every C_i.
 
 import numpy as np
 
-from .errors import DependentInput, IndexOutOfRange
+from .errors import DependentInput, IndexOutOfRange, MatrixShapeMismatch
 from .gf import Echelon, FieldMatrix, FiniteField
 
 
@@ -37,7 +37,7 @@ class CodeChain:
         """First chain level containing v; 0 for the zero vector."""
         v = np.asarray(v, dtype=np.int32)
         if v.shape != (self.n,):
-            raise ValueError(f"expected a vector of length {self.n}")
+            raise MatrixShapeMismatch(f"expected a vector of length {self.n}")
         residual, used = self._echelon.reduce(v)
         if residual.any():
             raise DependentInput("vector lies outside the span of the chain")

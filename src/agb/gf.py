@@ -14,8 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (DivisionByZero, MatrixShapeMismatch, UnreadableFile,
-                     UnsupportedField, UnwritableFile)
+from .errors import (DivisionByZero, InvariantViolation, MatrixShapeMismatch,
+                     UnreadableFile, UnsupportedField, UnwritableFile)
 
 _SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
 _MAX_ORDER = 256
@@ -171,9 +171,6 @@ class FiniteField:
     def neg(self, a: int) -> int:
         return int(self._neg[a])
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         return int(self._mul[a, b])
 
@@ -279,18 +276,11 @@ class FieldMatrix:
     def __init__(self, fld: FiniteField, data):
         arr = np.array(data, dtype=np.int32)
         if arr.ndim != 2:
-            raise ValueError("matrix data must be two-dimensional")
+            raise MatrixShapeMismatch("matrix data must be two-dimensional")
         if arr.size and (arr.min() < 0 or arr.max() >= fld.q):
-            raise ValueError(f"entries must lie in [0, {fld.q})")
+            raise InvariantViolation(f"entries must lie in [0, {fld.q})")
         self.field = fld
         self.data = arr
-
-    @classmethod
-    def from_rows(cls, fld: FiniteField, rows) -> "FieldMatrix":
-        rows = list(rows)
-        if not rows:
-            return cls(fld, np.zeros((0, 0), dtype=np.int32))
-        return cls(fld, np.array(rows, dtype=np.int32))
 
     @classmethod
     def zeros(cls, fld: FiniteField, nrows: int, ncols: int) -> "FieldMatrix":
@@ -303,9 +293,6 @@ class FieldMatrix:
     @property
     def ncols(self) -> int:
         return self.data.shape[1]
-
-    def row(self, i: int) -> np.ndarray:
-        return self.data[i].copy()
 
     def transpose(self) -> "FieldMatrix":
         return FieldMatrix(self.field, self.data.T.copy())

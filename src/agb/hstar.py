@@ -10,10 +10,10 @@ import enum
 
 import numpy as np
 
-from .errors import (ClosureViolation, InternalInvariantViolation,
-                     LengthTooSmall, LowRangeMismatch, MalformedAbundance,
-                     MalformedChain, NotSubsetOfH, ResultInvalid,
-                     WrongCardinality)
+from .errors import (ClosureViolation, IndexOutOfRange,
+                     InternalInvariantViolation, LengthTooSmall,
+                     LowRangeMismatch, MalformedAbundance, MalformedChain,
+                     NotSubsetOfH, ResultInvalid, WrongCardinality)
 from .semigroup import NumericalSemigroup
 
 
@@ -159,7 +159,7 @@ class HStar:
         if i == 0:
             return self.M0
         if not 1 <= i <= self.n:
-            raise ValueError(f"index {i} outside 0..{self.n}")
+            raise IndexOutOfRange(f"index {i} outside 0..{self.n}")
         return self.members[i - 1]
 
     def is_isometry_dual(self) -> bool:

@@ -12,8 +12,8 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .errors import (BudgetExceeded, InternalInvariantViolation,
-                     InvalidSearchBudget)
+from .errors import (BudgetExceeded, IndexOutOfRange,
+                     InternalInvariantViolation, InvalidSearchBudget)
 from .gf import FieldMatrix, rref
 from .generic_bound import CodeChain
 
@@ -64,7 +64,8 @@ def min_distance(M: FieldMatrix, budget: SearchBudget | None = None) -> int:
     rows = _independent_rows(M)
     k, n = rows.shape[0], M.ncols
     if k == 0:
-        raise ValueError("the zero code has no minimum distance")
+        # min_distance is the weight at r = 1, which needs dimension >= 1
+        raise IndexOutOfRange("the zero code has no minimum distance")
     q = fld.q
     total = q ** k
     if total > budget.max_codewords:
@@ -130,7 +131,7 @@ def weight_hierarchy(M: FieldMatrix, r: int,
     rows = _independent_rows(M)
     k, n = rows.shape
     if not 1 <= r <= k:
-        raise ValueError(f"need 1 <= r <= dim = {k}, got r={r}")
+        raise IndexOutOfRange(f"need 1 <= r <= dim = {k}, got r={r}")
     count = gaussian_binomial(k, r, fld.q)
     if count > budget.max_subspaces:
         raise BudgetExceeded(count, budget.max_subspaces, "subspaces")
@@ -183,8 +184,6 @@ def find_isometry_vector(chain: CodeChain, comb_cap: int = 10 ** 6):
     """
     fld = chain.field
     n = chain.n
-    if n > 32:
-        raise ValueError("isometry search is limited to n <= 32")
     consts = [fld.star(chain.basis[a - 1], chain.basis[b - 1])
               for a in range(1, n + 1) for b in range(a, n + 1)
               if a + b <= n]

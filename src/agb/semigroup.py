@@ -13,7 +13,7 @@ from math import gcd
 import numpy as np
 
 from .errors import (BeyondDeskScale, EmptyGenerators, GcdNotOne,
-                     NonPositiveGenerator)
+                     IndexOutOfRange, NonPositiveGenerator)
 
 MAX_FROBENIUS = 10 ** 7
 
@@ -119,7 +119,7 @@ class NumericalSemigroup:
     def nth_element(self, i: int) -> int:
         """The i-th member in increasing order, 1-based (element 1 is 0)."""
         if i < 1:
-            raise ValueError("index is 1-based and must be >= 1")
+            raise IndexOutOfRange("index is 1-based and must be >= 1")
         small = self._small_members
         if i <= len(small):
             return small[i - 1]

@@ -1,0 +1,99 @@
+"""Brute-force cross-validation of every bound on a concrete evaluation table."""
+
+from . import bounds, evalcode, gf, oracle
+from .errors import AgbError
+from .hstar import HStar
+
+
+def run_verification(table: evalcode.EvaluationTable, max_dim: int | None = None,
+                     ghw_r: int | None = None,
+                     budget: oracle.SearchBudget | None = None) -> list[dict]:
+    """Check every bound against the true value found by exhaustive search.
+
+    The bounds are d*, the generic bound and the Goppa bound along the code
+    chain, the GHW bounds up to ``ghw_r``, and the designed distance of each
+    improved code.  Returns one record per inequality checked.  Records that check the same
+    row space share one exhaustive search: true distances are kept under the
+    nonzero rows of the reduced echelon form of the matrix each record checks.
+    """
+    budget = budget or oracle.SearchBudget.from_env()
+    checks = []
+    distances = {}
+
+    def record(name, ok, detail):
+        checks.append({"name": name, "ok": bool(ok), "detail": detail})
+
+    def true_distance(M):
+        red = gf.rref(M)
+        key = red.matrix.data[: red.rank].tobytes()
+        if key not in distances:
+            distances[key] = oracle.min_distance(M, budget)
+        return distances[key]
+
+    hs = evalcode.empirical_hstar(table)
+    ref = HStar.from_equiv_divisor(table.semigroup, table.n)
+    record("hstar-matches-construction", hs == ref,
+           f"measured jumps {list(hs.members)}")
+
+    chain = evalcode.code_chain(table)
+    profile = bounds.lambda_profile(hs)
+    q = table.field.q
+    cap_dim = max_dim if max_dim is not None else table.n
+
+    for m in range(table.top_order + 1):
+        c = evalcode.code(table, m)
+        dim = c.dimension
+        if dim == 0 or dim > cap_dim or q ** dim > budget.max_codewords:
+            continue
+        d_true = true_distance(c.matrix)
+        ds = profile.d_star(dim)
+        gb = chain.generic_bound(dim)
+        record(f"dstar-m{m}", d_true >= ds,
+               f"dim {dim}: true {d_true} >= bound {ds}")
+        record(f"generic-m{m}", d_true >= gb,
+               f"dim {dim}: true {d_true} >= bound {gb}")
+        if m < table.n:
+            record(f"goppa-m{m}", d_true >= table.n - m,
+                   f"true {d_true} >= {table.n - m}")
+
+    if ghw_r:
+        queries = []
+        for m in hs.members:
+            c = evalcode.code(table, m)
+            dim = c.dimension
+            if dim == 0 or dim > cap_dim:
+                continue
+            queries += [(m, c, r) for r in range(1, min(ghw_r, dim) + 1)
+                        if oracle.gaussian_binomial(dim, r, q)
+                        <= budget.max_subspaces]
+        ghw = bounds.ghw_table(hs, [(r, c.dimension) for _, c, r in queries])
+        for (m, c, r), entry in zip(queries, ghw.entries):
+            dr = oracle.weight_hierarchy(c.matrix, r, budget)
+            record(f"ghw-m{m}-r{r}", dr >= entry.bound,
+                   f"dim {c.dimension}: true {dr} >= bound {entry.bound}")
+
+    for delta in range(1, hs.n + 1):
+        mat = evalcode.improved_generators(table, delta)
+        dim = mat.nrows
+        if dim == 0 or dim > cap_dim or q ** dim > budget.max_codewords:
+            continue
+        d_true = true_distance(mat)
+        record(f"improved-delta{delta}", d_true >= delta,
+               f"dim {dim}: true {d_true} >= designed {delta}")
+
+    x = oracle.find_isometry_vector(chain)
+    if hs.is_isometry_dual():
+        ok = x is not None
+        detail = f"witness {list(x)}" if ok else "no witness found"
+        record("isometry-witness", ok, detail)
+        if ok:
+            try:
+                evalcode.biorthogonal_adjust(table, x)
+                record("biorthogonal-adjust", True,
+                       "pairing pattern holds for all rows")
+            except AgbError as exc:
+                record("biorthogonal-adjust", False, str(exc))
+    else:
+        record("isometry-witness", x is None,
+               "correctly absent" if x is None else f"unexpected witness {x}")
+    return checks

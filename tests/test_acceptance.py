@@ -24,10 +24,10 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from agb import (HStar, d_star, feng_rao_improved_dim,
+from agb import (HStar, d_star, feng_rao_improved_dim, hermitian_table,
                  improved_profile, lambda_profile, lambda_star)
 from agb.bounds import a_counts_by_index, d_ord, goppa_compare, l_set_check
-from agb.cli import run_verification
+from agb.verify import run_verification
 
 from conftest import SUZUKI_TRUE_COUNTS, sieve_membership
 
@@ -171,7 +171,7 @@ def test_criterion_07_hermitian_q0_2_oracle_suite():
     with criterion(7, "brute-force oracle suite on the length-8 Hermitian "
                       "code chain over GF(4)"):
         start = time.perf_counter()
-        checks = run_verification(2, ghw_r=2)
+        checks = run_verification(hermitian_table(2), ghw_r=2)
         names = {c["name"] for c in checks}
         assert "hstar-matches-construction" in names
         assert {f"dstar-m{m}" for m in range(10)} <= names
@@ -191,7 +191,7 @@ def test_criterion_08_hermitian_q0_3_oracle_suite():
     with criterion(8, "brute-force oracle suite on the length-27 Hermitian "
                       "code chain over GF(9), dimensions <= 7"):
         start = time.perf_counter()
-        checks = run_verification(3, max_dim=7)
+        checks = run_verification(hermitian_table(3), max_dim=7)
         names = {c["name"] for c in checks}
         assert "hstar-matches-construction" in names
         hstar_check = next(c for c in checks

@@ -340,3 +340,23 @@ def test_deep_ghw_search_hits_node_cap_not_recursion_limit():
                              "--mode", "equiv-divisor", "--r", "1500",
                              "--i", "1600", "--node-cap", "10000"],
                             "EnumerationCapExceeded")
+
+
+def test_reader_closing_stdout_early_exits_cleanly():
+    # 32768 rows of JSON overflow any pipe buffer, so the writer meets the
+    # closed pipe while it is still printing
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), os.environ.get("PYTHONPATH", "")]))
+    with subprocess.Popen(
+            [sys.executable, "-m", "agb.cli", "bounds", "--gens", "32,33",
+             "--n", "32768", "--mode", "equiv-divisor", "--json"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        rc = proc.wait(timeout=120)
+    assert first == "{\n"
+    assert rc != 0
+    assert "Traceback" not in err, err
+    assert "Exception ignored" not in err, err

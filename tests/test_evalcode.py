@@ -8,8 +8,8 @@ from agb import (HStar, NumericalSemigroup, biorthogonal_adjust,
                  hermitian_table, improved_generators, load_table, min_distance,
                  rref, save_table)
 from agb.errors import (BudgetOutOfRange, DeltaOutOfRange, InvariantViolation,
-                        NotIsometryDual, SchemaError, UnreadableFile,
-                        UnsupportedParameter, UnwritableFile)
+                        MalformedChain, NotIsometryDual, SchemaError,
+                        UnreadableFile, UnsupportedParameter, UnwritableFile)
 from agb.evalcode import EvaluationTable, chain_matrix, measured_dimensions
 from agb.bounds import lambda_profile
 
@@ -67,6 +67,28 @@ def test_measured_dimensions_structure(herm2_table, herm3_table):
         assert set(steps) <= {0, 1}
         for m in range(t.n):
             assert (steps[m] == 1) == t.semigroup.contains(m)
+
+
+def test_code_dimension_is_rank_of_its_matrix(herm2_table, herm3_table):
+    # code() reads the measured chain; rref counts the rank independently
+    for t in (herm2_table, herm3_table):
+        for m in range(t.top_order + 1):
+            c = code(t, m)
+            assert c.dimension == rref(c.matrix).rank
+
+
+def test_code_works_on_a_chain_that_is_not_a_jump_set():
+    # the row at pole order 1 repeats the constant row, so the dimension
+    # stalls at m = 1 and the measured sequence is no valid chain
+    f4 = field(2, 2)
+    S = NumericalSemigroup.from_generators([1])
+    table = EvaluationTable(
+        f4, ["P0", "P1", "P2"],
+        [(0, [1, 1, 1]), (1, [1, 1, 1]), (2, [0, 1, 3])], S)
+    assert measured_dimensions(table) == [1, 1, 2]
+    assert [code(table, m).dimension for m in range(3)] == [1, 1, 2]
+    with pytest.raises(MalformedChain):
+        empirical_hstar(table)
 
 
 def test_empirical_hstar(herm2_table, herm3_table):

@@ -6,7 +6,8 @@ import pytest
 
 from agb import CodeChain, FieldMatrix, code, d_star, empirical_hstar, field, min_distance
 from agb.bounds import lambda_profile
-from agb.errors import DependentInput, IndexOutOfRange
+from agb.errors import (AgbError, DependentInput, IndexOutOfRange,
+                        MatrixShapeMismatch)
 from agb.evalcode import chain_matrix
 
 
@@ -191,6 +192,9 @@ def test_triangular_basis_rejects_dependent(herm2_chain):
 def test_nu_rejects_wrong_length(herm2_chain):
     with pytest.raises(ValueError):
         herm2_chain.nu(np.zeros(5, dtype=np.int32))
+    with pytest.raises(MatrixShapeMismatch):
+        herm2_chain.nu(np.zeros(9, dtype=np.int32))
+    assert issubclass(MatrixShapeMismatch, AgbError)
 
 
 def test_chain_from_matrix_file(tmp_path, herm2_table):

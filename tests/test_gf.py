@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agb import FieldMatrix, dual, field, rref
-from agb.errors import (DivisionByZero, MatrixShapeMismatch, UnreadableFile,
-                        UnsupportedField)
+from agb.errors import (AgbError, DivisionByZero, InvariantViolation,
+                        MatrixShapeMismatch, UnreadableFile, UnsupportedField)
 from agb.gf import Echelon, _digits, _is_irreducible
 
 PINNED = {(2, 2): 7, (2, 3): 11, (2, 4): 19, (3, 2): 10}
@@ -286,6 +286,11 @@ def test_matrix_entry_validation():
         FieldMatrix(f4, [[0, 4]])
     with pytest.raises(ValueError):
         FieldMatrix(f4, [[0, -1]])
+    with pytest.raises(InvariantViolation):
+        FieldMatrix(f4, [[0, 4]])
+    with pytest.raises(MatrixShapeMismatch):
+        FieldMatrix(f4, [0, 1, 2])
+    assert issubclass(InvariantViolation, AgbError)
 
 
 def test_matrix_json_roundtrip(tmp_path):

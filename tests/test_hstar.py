@@ -1,9 +1,16 @@
+from bisect import bisect_right
+from functools import reduce
+from math import gcd
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from agb import HStar, HStarMode, NumericalSemigroup
-from agb.errors import (ClosureViolation, LengthTooSmall, LowRangeMismatch,
-                        MalformedAbundance, MalformedChain, NotSubsetOfH,
-                        ResultInvalid, WrongCardinality)
+from agb.errors import (AgbError, ClosureViolation, IndexOutOfRange,
+                        LengthTooSmall, LowRangeMismatch, MalformedAbundance,
+                        MalformedChain, NotSubsetOfH, ResultInvalid,
+                        WrongCardinality)
 
 from conftest import sieve_membership
 
@@ -235,6 +242,10 @@ def test_sentinel_and_indexing(suzuki_hstar):
     assert suzuki_hstar.m(64) == 91
     with pytest.raises(ValueError):
         suzuki_hstar.m(65)
+    for i in (-1, 65):
+        with pytest.raises(IndexOutOfRange):
+            suzuki_hstar.m(i)
+    assert issubclass(IndexOutOfRange, AgbError)
 
 
 def test_every_constructor_output_revalidates(two_three, suzuki, klein_hstar,
@@ -272,3 +283,36 @@ def test_constructors_cross_validate_through_derived_sequences(suzuki):
                for b in range(top + 1)]
         assert HStar.from_dimension_chain(dims, S) == hs
         assert HStar.from_abundance(S, n, ell) == hs
+
+
+@st.composite
+def semigroup_and_length(draw):
+    """A semigroup of multiplicity <= 7 and a length 2g+3 <= n <= 2g+40."""
+    mult = draw(st.integers(1, 7))
+    others = draw(st.lists(st.integers(mult + 1, 5 * mult + 10),
+                           max_size=3, unique=True))
+    gens = [mult, *others]
+    assume(reduce(gcd, gens) == 1)
+    S = NumericalSemigroup.from_generators(gens)
+    return S, draw(st.integers(2 * S.genus + 3, 2 * S.genus + 40))
+
+
+@settings(max_examples=80, deadline=None)
+@given(semigroup_and_length())
+def test_jump_set_constructors_agree(case):
+    S, n = case
+    top = n + 2 * S.genus - 1
+    H = S.elements_up_to(top)
+    equiv = HStar.from_equiv_divisor(S, n)
+    dual = HStar.from_isometry_dual(S, n)
+    for hs in (equiv, dual):
+        assert HStar.from_explicit(S, n, hs.members) == hs
+        dims = [bisect_right(hs.members, m) for m in range(top + 1)]
+        assert HStar.from_dimension_chain(dims, S) == hs
+        ell = [bisect_right(H, m) - dims[m] for m in range(top + 1)]
+        assert HStar.from_abundance(S, n, ell) == hs
+        assert hs.is_isometry_dual() == (top in hs.members)
+        assert hs.pi_value() >= n
+    assert dual.is_isometry_dual()
+    # n+2g-1 = n + (2g-1) is in the equiv-divisor set iff 2g-1 is a gap
+    assert equiv.is_isometry_dual() == S.is_symmetric()

@@ -6,7 +6,8 @@ import pytest
 from agb import (CodeChain, FieldMatrix, SearchBudget, code, dual,
                  empirical_hstar, field, find_isometry_vector, min_distance,
                  rref, weight_hierarchy)
-from agb.errors import AgbError, BudgetExceeded, InvalidSearchBudget
+from agb.errors import (AgbError, BudgetExceeded, IndexOutOfRange,
+                        InvalidSearchBudget)
 from agb.evalcode import chain_matrix
 from agb.oracle import gaussian_binomial
 
@@ -69,6 +70,15 @@ def test_min_distance_zero_code_rejected():
     f4 = field(2, 2)
     with pytest.raises(ValueError):
         min_distance(FieldMatrix.zeros(f4, 2, 5))
+    with pytest.raises(IndexOutOfRange):
+        min_distance(FieldMatrix.zeros(f4, 2, 5))
+
+
+def test_weight_hierarchy_rejects_r_outside_dimension(herm2_table):
+    c = code(herm2_table, 2)      # dimension 2
+    for r in (0, 3):
+        with pytest.raises(IndexOutOfRange):
+            weight_hierarchy(c.matrix, r)
 
 
 def test_hermitian_code_distance_against_bounds(herm2_table):
@@ -284,3 +294,15 @@ def test_weight_hierarchy_gf4_matches_naive(herm2_table):
     for r in range(1, red.rank + 1):
         assert weight_hierarchy(c.matrix, r) == \
             naive_weight_hierarchy(herm2_table.field, rows, r)
+
+
+def test_isometry_witness_past_length_32():
+    # Reed-Solomon chain over GF(49): rows x^e at all 49 elements, e = 0..48.
+    # sum_x x^e vanishes for e < 48, so the all-ones vector is a witness, and
+    # the constraints leave it the only one up to a scalar.
+    fld = field(7, 2)
+    basis = [[fld.pow(x, e) for x in fld.elements()] for e in range(49)]
+    x = find_isometry_vector(CodeChain(fld, basis))
+    assert x is not None
+    assert len(x) == 49
+    assert x[0] != 0 and set(x) == {x[0]}

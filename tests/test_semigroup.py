@@ -4,7 +4,7 @@ import pytest
 
 from agb import NumericalSemigroup
 from agb.errors import (AgbError, BeyondDeskScale, EmptyGenerators, GcdNotOne,
-                        NonPositiveGenerator)
+                        IndexOutOfRange, NonPositiveGenerator)
 
 from conftest import sieve_membership
 
@@ -147,3 +147,10 @@ def test_listing_past_desk_scale_is_refused(suzuki):
     for listing in (suzuki.elements_up_to, suzuki.membership_mask):
         with pytest.raises(BeyondDeskScale):
             listing(10 ** 7 + 1)
+
+
+def test_nth_element_rejects_index_below_one():
+    S = NumericalSemigroup.from_generators([3, 5])
+    assert S.nth_element(1) == 0
+    with pytest.raises(IndexOutOfRange):
+        S.nth_element(0)

@@ -1,0 +1,75 @@
+"""run_verification: one measured chain per table, one search per distinct code."""
+
+from agb import (FieldMatrix, evalcode, hermitian_table, load_table, oracle,
+                 save_table)
+from agb.verify import run_verification
+
+
+def counted_run(monkeypatch, table, **kwargs):
+    """Run the verification, counting exhaustive searches and chain passes.
+
+    A chain pass is one ``Echelon`` built inside ``agb.evalcode``.
+    """
+    calls = {"min_distance": 0, "weight_hierarchy": 0, "chain_passes": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kw):
+            calls[key] += 1
+            return fn(*args, **kw)
+        return wrapper
+
+    for key in ("min_distance", "weight_hierarchy"):
+        monkeypatch.setattr(oracle, key, counting(key, getattr(oracle, key)))
+    monkeypatch.setattr(evalcode, "Echelon",
+                        counting("chain_passes", evalcode.Echelon))
+    return run_verification(table, **kwargs), calls
+
+
+def test_gf9_run_searches_each_distinct_code_once(monkeypatch):
+    # 20 records read true distances, but only 7 distinct row spaces exist
+    checks, calls = counted_run(monkeypatch, hermitian_table(3), max_dim=7)
+    assert calls == {"min_distance": 7, "weight_hierarchy": 0,
+                     "chain_passes": 1}
+    assert all(c["ok"] for c in checks)
+
+
+def test_gf4_ghw_run_searches_each_distinct_code_once(monkeypatch):
+    # each GHW query is a distinct (m, r) pair, so each gets its own search
+    checks, calls = counted_run(monkeypatch, hermitian_table(2), ghw_r=4)
+    assert calls == {"min_distance": 8, "weight_hierarchy": 21,
+                     "chain_passes": 1}
+    assert all(c["ok"] for c in checks)
+
+
+def test_planted_improved_matrix_gets_its_own_search(monkeypatch):
+    table = hermitian_table(2)
+    honest = run_verification(table)
+    real = evalcode.improved_generators
+
+    def planted(t, delta, adjust=None):
+        mat = real(t, delta, adjust)
+        if delta != 6:
+            return mat
+        data = mat.data.copy()
+        data[-1] = 0
+        data[-1, 0] = 1   # a weight-1 row the honest C_2 does not contain
+        return FieldMatrix(t.field, data)
+
+    monkeypatch.setattr(evalcode, "improved_generators", planted)
+    checks, calls = counted_run(monkeypatch, table)
+    assert calls["min_distance"] == 9   # the 8 chain codes and the plant
+    by_name = {c["name"]: c for c in checks}
+    bad = by_name.pop("improved-delta6")
+    d_plant = oracle.min_distance(planted(table, 6))
+    assert d_plant == 1
+    assert bad == {"name": "improved-delta6", "ok": False,
+                   "detail": f"dim 2: true {d_plant} >= designed 6"}
+    assert by_name == {c["name"]: c for c in honest
+                       if c["name"] != "improved-delta6"}
+
+
+def test_loaded_table_gives_the_same_records(tmp_path):
+    path = tmp_path / "hermitian2.json"
+    save_table(hermitian_table(2), path)
+    assert (run_verification(load_table(path), ghw_r=4)
+            == run_verification(hermitian_table(2), ghw_r=4))
