@@ -15,7 +15,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (DivisionByZero, InvariantViolation, MatrixShapeMismatch,
-                     UnreadableFile, UnsupportedField, UnwritableFile)
+                     SchemaError, UnreadableFile, UnsupportedField,
+                     UnwritableFile)
 
 _SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
 _MAX_ORDER = 256
@@ -319,13 +320,24 @@ class FieldMatrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FieldMatrix":
-        fld = field(int(obj["p"]), int(obj["k"]))
-        data = np.array(obj["data"], dtype=np.int32)
-        shape = (int(obj["rows"]), int(obj["cols"]))
-        if data.size != shape[0] * shape[1]:
+        """Inverse of :meth:`to_json`; ``data`` is a flat list of entries."""
+        try:
+            p, k = int(obj["p"]), int(obj["k"])
+            shape = (int(obj["rows"]), int(obj["cols"]))
+            data = obj["data"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"malformed matrix: {exc!r}") from exc
+        fld = field(p, k)
+        if min(shape) < 0:
+            raise SchemaError(f"negative matrix shape {shape[0]}x{shape[1]}")
+        if not isinstance(data, list) or any(
+                type(v) is not int or not 0 <= v < fld.q for v in data):
+            raise SchemaError(
+                f"matrix data must be a flat list of integers in [0, {fld.q})")
+        if len(data) != shape[0] * shape[1]:
             raise MatrixShapeMismatch(
-                f"{data.size} entries do not fill {shape[0]}x{shape[1]}")
-        return cls(fld, data.reshape(shape))
+                f"{len(data)} entries do not fill {shape[0]}x{shape[1]}")
+        return cls(fld, np.array(data, dtype=np.int32).reshape(shape))
 
 
 class RowReduction(NamedTuple):

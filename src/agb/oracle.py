@@ -1,9 +1,9 @@
 """Brute-force ground truth for small codes.
 
-Exhaustive, deterministic searches: true minimum distance by enumerating all
-codewords (in vectorized blocks), true generalized Hamming weights by
-enumerating canonical subspace bases, dual codes by nullspace, and search for
-a coordinatewise-scaling witness that makes a chain isometry-dual.
+One exhaustive search lists each r-dimensional subcode once, by its reduced
+echelon basis, for the true generalized Hamming weights; the minimum distance
+is its r = 1 case, which lists the monic codewords.  Also: dual codes by
+nullspace, and a coordinatewise-scaling witness of isometry-duality.
 """
 
 import os
@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import (BudgetExceeded, IndexOutOfRange,
                      InternalInvariantViolation, InvalidSearchBudget)
-from .gf import FieldMatrix, rref
+from .gf import FieldMatrix, FiniteField, rref
 from .generic_bound import CodeChain
 
 _BLOCK_TARGET = 8192
@@ -22,7 +22,12 @@ _BLOCK_TARGET = 8192
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Caps on exhaustive-search size; exceeding one raises BudgetExceeded."""
+    """Caps on exhaustive-search size; exceeding one raises BudgetExceeded.
+
+    ``max_codewords`` caps q^k, not the (q^k - 1)/(q - 1) monic codewords
+    :func:`min_distance` lists: `agb verify` derives its records from this
+    default, so counting monic words would change which records a run emits.
+    """
 
     max_codewords: int = 1 << 26
     max_subspaces: int = 10 ** 7
@@ -53,59 +58,58 @@ def _independent_rows(M: FieldMatrix) -> np.ndarray:
     return red.matrix.data[: red.rank]
 
 
-def min_distance(M: FieldMatrix, budget: SearchBudget | None = None) -> int:
-    """Exact minimum weight over all nonzero codewords of the row space of M.
+def _least_support(fld: FiniteField, rows: np.ndarray, r: int) -> int:
+    """Least support size over the r-dimensional subspaces of the span of rows.
 
-    Enumerates q^k codewords as prefix-sum times suffix-block combinations so
-    the inner loop is a single vectorized add and weight count.
+    Each subspace is listed once, by its reduced echelon basis: for pivots
+    p_1 < ... < p_r, basis row i is rows[p_i] plus any combination of the
+    non-pivot rows after p_i.  The last s free coefficients form one block of
+    q^s bases (r * q^s <= _BLOCK_TARGET); each combination of the others,
+    the head, is added to the whole block at once.
+    """
+    k, n = rows.shape
+    q = fld.q
+    scaled = fld.mul_arrays(rows[:, :, None], np.arange(q))     # (k, n, q)
+    best = n + 1
+    for pivots in combinations(range(k), r):
+        free = [(i, j) for i in range(r)
+                for j in range(pivots[i] + 1, k) if j not in pivots]
+        s = 0
+        while s < len(free) and r * q ** (s + 1) <= _BLOCK_TARGET:
+            s += 1
+        head, tail = free[: len(free) - s], free[len(free) - s:]
+        # bases run along the last axis, so the support reductions below
+        # combine whole planes instead of short rows
+        block = rows[list(pivots)][:, :, None]      # grows to (r, n, q^s)
+        for i, j in tail:
+            step = np.zeros((r, n, q, 1), dtype=np.int32)
+            step[i, :, :, 0] = scaled[j]
+            block = fld.add_arrays(step, block[:, :, None]).reshape(r, n, -1)
+        for lams in product(range(q), repeat=len(head)):
+            offset = np.zeros((r, n, 1), dtype=np.int32)
+            for (i, j), lam in zip(head, lams):
+                offset[i] = fld.add_arrays(offset[i], scaled[j, :, lam:lam + 1])
+            support = fld.add_arrays(block, offset).any(axis=0).sum(axis=0)
+            best = min(best, int(support.min()))
+    return best
+
+
+def min_distance(M: FieldMatrix, budget: SearchBudget | None = None) -> int:
+    """Exact minimum weight over the nonzero codewords of the row space of M.
+
+    The r = 1 case of the subspace search, over the (q^k - 1)/(q - 1) monic
+    codewords; the budget still caps q^k (see :class:`SearchBudget`).
     """
     budget = budget or SearchBudget()
-    fld = M.field
     rows = _independent_rows(M)
-    k, n = rows.shape[0], M.ncols
+    k = rows.shape[0]
     if k == 0:
         # min_distance is the weight at r = 1, which needs dimension >= 1
         raise IndexOutOfRange("the zero code has no minimum distance")
-    q = fld.q
-    total = q ** k
+    total = M.field.q ** k
     if total > budget.max_codewords:
         raise BudgetExceeded(total, budget.max_codewords, "codewords")
-
-    k2 = 1
-    while k2 < k and q ** (k2 + 1) <= _BLOCK_TARGET:
-        k2 += 1
-    block = np.zeros((1, n), dtype=np.int32)
-    for row in rows[k - k2:]:
-        scaled = np.stack([fld.scale_array(lam, row) for lam in range(q)])
-        block = fld.add_arrays(block[None, :, :], scaled[:, None, :])
-        block = block.reshape(-1, n)
-
-    best = n + 1
-
-    def scan(partial: np.ndarray) -> None:
-        nonlocal best
-        w = fld.add_arrays(block, partial)
-        weights = np.count_nonzero(w, axis=1)
-        nz = weights[weights > 0]
-        if nz.size:
-            m = int(nz.min())
-            if m < best:
-                best = m
-
-    prefix_rows = rows[: k - k2]
-
-    def rec(idx: int, partial: np.ndarray) -> None:
-        if idx == len(prefix_rows):
-            scan(partial)
-            return
-        row = prefix_rows[idx]
-        for lam in range(q):
-            nxt = partial if lam == 0 else fld.add_arrays(
-                partial, fld.scale_array(lam, row))
-            rec(idx + 1, nxt)
-
-    rec(0, np.zeros(n, dtype=np.int32))
-    return best
+    return _least_support(M.field, rows, 1)
 
 
 def gaussian_binomial(k: int, r: int, q: int) -> int:
@@ -121,45 +125,18 @@ def weight_hierarchy(M: FieldMatrix, r: int,
                      budget: SearchBudget | None = None) -> int:
     """Exact r-th generalized Hamming weight of the row space of M.
 
-    Enumerates every r-dimensional subspace through its canonical
-    reduced-echelon basis; the support size is the number of columns not
-    identically zero across the basis rows.  Candidates are processed in
-    vectorized chunks grouped by pivot-column choice.
+    The least number of columns not identically zero on a basis of an
+    r-dimensional subcode, over all gaussian_binomial(k, r, q) subcodes.
     """
     budget = budget or SearchBudget()
-    fld = M.field
     rows = _independent_rows(M)
-    k, n = rows.shape
+    k = rows.shape[0]
     if not 1 <= r <= k:
         raise IndexOutOfRange(f"need 1 <= r <= dim = {k}, got r={r}")
-    count = gaussian_binomial(k, r, fld.q)
+    count = gaussian_binomial(k, r, M.field.q)
     if count > budget.max_subspaces:
         raise BudgetExceeded(count, budget.max_subspaces, "subspaces")
-    q = fld.q
-    chunk = 4096
-    scale_table = [np.stack([fld.scale_array(lam, row) for lam in range(q)])
-                   for row in rows]
-    best = n + 1
-    for pivots in combinations(range(k), r):
-        pivot_set = set(pivots)
-        free = [(i, j) for i in range(r)
-                for j in range(pivots[i] + 1, k) if j not in pivot_set]
-        base = np.stack([rows[c] for c in pivots])  # (r, n)
-        total = q ** len(free)
-        for start in range(0, total, chunk):
-            vals = np.arange(start, min(total, start + chunk))
-            prod = np.broadcast_to(base, (vals.size, r, n)).copy()
-            for idx, (i, j) in enumerate(free):
-                lam = (vals // q ** idx) % q
-                if not lam.any():
-                    continue
-                prod[:, i, :] = fld.add_arrays(prod[:, i, :],
-                                               scale_table[j][lam])
-            support = (prod != 0).any(axis=1).sum(axis=1)
-            m = int(support.min())
-            if m < best:
-                best = m
-    return best
+    return _least_support(M.field, rows, r)
 
 
 def dual(M: FieldMatrix) -> FieldMatrix:

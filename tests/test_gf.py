@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 from agb import FieldMatrix, dual, field, rref
 from agb.errors import (AgbError, DivisionByZero, InvariantViolation,
-                        MatrixShapeMismatch, UnreadableFile, UnsupportedField)
+                        MatrixShapeMismatch, SchemaError, UnreadableFile,
+                        UnsupportedField)
 from agb.gf import Echelon, _digits, _is_irreducible
 
 PINNED = {(2, 2): 7, (2, 3): 11, (2, 4): 19, (3, 2): 10}
@@ -244,10 +246,10 @@ def test_echelon_reduce_rebuilds_v_and_insert_tracks_rank():
 
 
 @st.composite
-def field_matrices(draw):
-    p, k = draw(st.sampled_from(SUPPORTED_FIELDS))
+def field_matrices(draw, fields=SUPPORTED_FIELDS, max_rows=6):
+    p, k = draw(st.sampled_from(fields))
     f = field(p, k)
-    nrows = draw(st.integers(0, 6))
+    nrows = draw(st.integers(0, max_rows))
     ncols = draw(st.integers(1, 7))
     data = draw(st.lists(st.lists(st.integers(0, f.q - 1), min_size=ncols,
                                   max_size=ncols),
@@ -324,6 +326,26 @@ def test_matrix_from_json_shape_mismatch():
     with pytest.raises(MatrixShapeMismatch) as exc:
         FieldMatrix.from_json(obj)
     assert isinstance(exc.value, ValueError)
+
+
+@pytest.mark.parametrize("change", [
+    {"rows": -1, "cols": -2},          # two entries, but no such shape
+    {"data": None},                    # "data" missing
+    {"data": [1, "x"]},
+    {"data": [1.0, 1]},
+    {"rows": 1, "cols": 2, "data": [[1], [1]]},
+    {"data": [1, 4]},                  # 4 is not in GF(4)
+], ids=["negative-shape", "no-data", "string-entry", "float-entry",
+        "nested-data", "entry-outside-field"])
+def test_load_matrix_malformed_is_schema_error(tmp_path, change):
+    from agb import load_matrix
+    obj = {"p": 2, "k": 2, "rows": 2, "cols": 1, "data": [1, 1]}
+    obj.update(change)
+    obj = {key: v for key, v in obj.items() if v is not None}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(SchemaError):
+        load_matrix(path)
 
 
 def test_large_field_construction():

@@ -1,15 +1,20 @@
 import random
+from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agb import (CodeChain, FieldMatrix, SearchBudget, code, dual,
-                 empirical_hstar, field, find_isometry_vector, min_distance,
-                 rref, weight_hierarchy)
+                 empirical_hstar, field, find_isometry_vector, hermitian_table,
+                 min_distance, oracle, rref, weight_hierarchy)
 from agb.errors import (AgbError, BudgetExceeded, IndexOutOfRange,
                         InvalidSearchBudget)
 from agb.evalcode import chain_matrix
 from agb.oracle import gaussian_binomial
+from test_gf import field_matrices
 
 
 def all_codewords(fld, rows):
@@ -306,3 +311,96 @@ def test_isometry_witness_past_length_32():
     assert x is not None
     assert len(x) == 49
     assert x[0] != 0 and set(x) == {x[0]}
+
+
+# Rows of weight >= 3, no two proportional over any field.
+_WIDE = [[1, 1, 1, 0], [1, 1, 0, 1], [1, 0, 1, 1], [0, 1, 1, 1], [1, 1, 1, 1]]
+
+
+def pair_code(fld, k, pairs):
+    """[I_k | P] in which the two rows of each pair share their P row.
+
+    The P rows, one per pair and one per unpaired row, are the rows of
+    [I_t | A] with the rows of A taken from _WIDE.  A word whose coefficients
+    lie outside the span of the differences rows[a] - rows[b] then has
+    weight >= 5, while each difference has weight 2.
+    """
+    group = {i: g for g, pair in enumerate(pairs) for i in pair}
+    t = len(pairs)
+    for i in range(k):
+        if i not in group:
+            group[i], t = t, t + 1
+    P = np.hstack([np.eye(t, dtype=np.int32), np.array(_WIDE[:t])])
+    return np.hstack([np.eye(k, dtype=np.int32),
+                      P[[group[i] for i in range(k)]]])
+
+
+@pytest.mark.parametrize("target", [None, 1])
+@pytest.mark.parametrize("p", [2, 3])
+def test_min_distance_finds_the_one_weight_two_word(monkeypatch, p, target):
+    # rows[a] - rows[b] is the only weight-2 word up to scalars, reached only
+    # through the free coefficient at b; _BLOCK_TARGET = 1 puts every free
+    # coefficient in the head walk
+    if target:
+        monkeypatch.setattr(oracle, "_BLOCK_TARGET", target)
+    fld = field(p, 1)
+    for a, b in combinations(range(6), 2):
+        rows = pair_code(fld, 6, [(a, b)])
+        slow = min(int((v != 0).sum()) for v in all_codewords(fld, rows)
+                   if v.any())
+        assert slow == 2
+        assert min_distance(FieldMatrix(fld, rows)) == slow, (a, b)
+
+
+@pytest.mark.parametrize("target", [None, 1])
+@pytest.mark.parametrize("p", [2, 3])
+def test_weight_hierarchy_finds_the_one_support_four_plane(monkeypatch, p,
+                                                           target):
+    # the plane spanned by rows[a] - rows[b] and rows[c] - rows[d] is the
+    # only 2-dimensional subcode with support 4
+    if target:
+        monkeypatch.setattr(oracle, "_BLOCK_TARGET", target)
+    fld = field(p, 1)
+    for a, b in combinations(range(5), 2):
+        for c, d in combinations(range(a + 1, 5), 2):
+            if b in (c, d):
+                continue
+            rows = pair_code(fld, 5, [(a, b), (c, d)])
+            slow = naive_weight_hierarchy(fld, rows, 2)
+            assert slow == 4
+            assert weight_hierarchy(FieldMatrix(fld, rows), 2) == slow, \
+                (a, b, c, d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(field_matrices(fields=[(2, 1), (3, 1), (2, 2)], max_rows=5),
+       st.sampled_from([1, 2, 6, 64]))
+def test_one_search_matches_naive_enumeration(M, target):
+    # a small _BLOCK_TARGET splits the free coefficients between the block
+    # and the head walk at every position
+    red = rref(M)
+    rows = red.matrix.data[: red.rank]
+    with mock.patch.object(oracle, "_BLOCK_TARGET", target):
+        values = [weight_hierarchy(M, r) for r in range(1, red.rank + 1)]
+        if red.rank:
+            assert min_distance(M) == values[0]
+    assert values == [naive_weight_hierarchy(M.field, rows, r)
+                      for r in range(1, red.rank + 1)]
+
+
+def test_true_hermitian_weights():
+    # values from two independent exhaustive searches, one over all q^k
+    # messages and one over canonical subspace bases
+    def chain_code(table, k):
+        return FieldMatrix(table.field, chain_matrix(table).data[:k])
+
+    herm3, herm2 = hermitian_table(3), hermitian_table(2)
+    assert [min_distance(chain_code(herm3, k)) for k in range(1, 8)] == \
+        [27, 24, 23, 21, 20, 19, 18]
+    assert [min_distance(chain_code(herm2, k)) for k in range(1, 9)] == \
+        [8, 6, 5, 4, 3, 2, 2, 1]
+    ghw = {(2, 2): 8, (3, 2): 7, (3, 3): 8, (4, 2): 6, (4, 3): 7, (4, 4): 8,
+           (5, 2): 5, (5, 3): 6, (5, 4): 7, (6, 2): 4, (6, 3): 5, (6, 4): 6,
+           (7, 2): 3}
+    assert {kr: weight_hierarchy(chain_code(herm2, kr[0]), kr[1])
+            for kr in ghw} == ghw
