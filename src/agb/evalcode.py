@@ -192,8 +192,8 @@ def biorthogonal_adjust(table: EvaluationTable, x) -> FieldMatrix:
 
     Given an isometry witness x, returns rows w'_1..w'_n with the same
     triangular span such that (x * w'_i) . w_j vanishes unless j = n-i+1.
-    Built inductively: each new row subtracts the already-adjusted rows,
-    scaled to cancel the offending pairings.
+    Built inductively from the raw pairings pair[s, i] = (x * w_s) . w_{n-i}:
+    row s subtracts pair[s, i] / pair[i, i] times each adjusted row i < s.
     """
     fld = table.field
     hs = empirical_hstar(table)
@@ -204,27 +204,16 @@ def biorthogonal_adjust(table: EvaluationTable, x) -> FieldMatrix:
     if x.shape != (n,) or not (x != 0).all():
         raise NotIsometryDual("witness must have n nonzero coordinates")
     w = chain_matrix(table).data
-    adj = np.zeros_like(w)
-    adj[0] = w[0]
-    pairings = []  # (x * adj[i]) . w[n-1-i], fixed once row i is final
-    pairings.append(fld.dot(fld.star(x, adj[0]), w[n - 1]))
-    if pairings[0] == 0:
-        raise ZeroPivot("mirror pairing vanished at row 1; invalid witness")
+    pair = fld.matmul(fld.mul_arrays(w, x[None, :]), w.T)[:, ::-1]
+    pivots = np.diagonal(pair)
+    if not pivots.all():
+        row = int(np.flatnonzero(pivots == 0)[0]) + 1
+        raise ZeroPivot(f"mirror pairing vanished at row {row}; invalid witness")
+    inverses = np.array([fld.inv(int(d)) for d in pivots], dtype=np.int32)
+    coefs = fld.neg_arrays(fld.mul_arrays(pair, inverses[None, :]))
+    adj = w.copy()
     for s in range(1, n):
-        v = w[s].copy()
-        for i in range(s):
-            a_i = fld.dot(fld.star(x, w[s]), w[n - 1 - i])
-            if a_i == 0:
-                continue
-            coef = fld.neg(fld.div(a_i, pairings[i]))
-            v = fld.add_arrays(v, fld.scale_array(coef, adj[i]))
-        adj[s] = v
-        d = fld.dot(fld.star(x, v), w[n - 1 - s])
-        if d == 0:
-            raise ZeroPivot(
-                f"mirror pairing vanished at row {s + 1}; invalid witness"
-            )
-        pairings.append(d)
+        adj[s] = fld.add_arrays(w[s], fld.matmul(coefs[s:s + 1, :s], adj[:s])[0])
     # post-condition: pairings vanish exactly off the antidiagonal
     gram = fld.matmul(fld.mul_arrays(adj, x[None, :]), w.T)
     off = np.ones((n, n), dtype=bool)

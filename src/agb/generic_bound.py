@@ -2,31 +2,33 @@
 
 Fix an ordered basis b_1..b_n of the ambient space and the nested codes
 C_i spanned by the first i basis vectors.  The position map nu sends a vector
-to the first level of the chain containing it; pairs of basis vectors whose
-componentwise product reaches a strictly higher nu than all dominated pairs
-("well-behaving" pairs) yield a per-level weight bound, and the running
-minimum bounds the minimum distance of every C_i.
+to its last nonzero coordinate, read through one inverse of the basis; pairs
+of basis vectors whose componentwise product reaches a strictly higher nu than
+all dominated pairs ("well-behaving" pairs) yield a per-level weight bound,
+and the running minimum bounds the minimum distance of every C_i.
 """
 
 import numpy as np
 
 from .errors import DependentInput, IndexOutOfRange, MatrixShapeMismatch
-from .gf import Echelon, FieldMatrix, FiniteField
+from .gf import FieldMatrix, FiniteField, rref
 
 
 class CodeChain:
-    """Full-rank ordered basis of F_q^n with incremental elimination state."""
+    """Full-rank ordered basis of F_q^n with coordinates from one inverse."""
 
     def __init__(self, fld: FiniteField, basis):
         self.field = fld
-        self.basis = np.array(basis, dtype=np.int32)
-        if self.basis.ndim != 2 or self.basis.shape[0] != self.basis.shape[1]:
+        self.basis = FieldMatrix(fld, basis).data
+        n = self.n = self.basis.shape[0]
+        if self.basis.shape[1] != n:
             raise DependentInput("a chain needs n independent vectors of length n")
-        self.n = self.basis.shape[0]
-        self._echelon = Echelon(fld)
-        for level, row in enumerate(self.basis, start=1):
-            if self._echelon.insert(row, level) is None:
-                raise DependentInput(f"basis vector {level} depends on earlier ones")
+        # [B | I] reduces to [I | B^-1] exactly when B is invertible
+        augmented = np.hstack([self.basis, np.eye(n, dtype=np.int32)])
+        red = rref(FieldMatrix(fld, augmented))
+        if red.pivots != tuple(range(n)):
+            raise DependentInput("basis vectors are linearly dependent")
+        self._inverse = red.matrix.data[:, n:]
         self._wbp = None
 
     @classmethod
@@ -38,10 +40,16 @@ class CodeChain:
         v = np.asarray(v, dtype=np.int32)
         if v.shape != (self.n,):
             raise MatrixShapeMismatch(f"expected a vector of length {self.n}")
-        residual, used = self._echelon.reduce(v)
-        if residual.any():
-            raise DependentInput("vector lies outside the span of the chain")
-        return max(used, default=0)
+        return int(self._levels(v))
+
+    def _levels(self, vectors) -> np.ndarray:
+        """nu of each vector along the last axis: one plus the index of its
+        last nonzero coordinate, or 0 for the zero vector."""
+        vectors = np.asarray(vectors, dtype=np.int32)
+        coords = self.field.matmul(vectors.reshape(-1, self.n), self._inverse)
+        nonzero = coords.reshape(vectors.shape) != 0
+        last = self.n - np.argmax(nonzero[..., ::-1], axis=-1)
+        return np.where(nonzero.any(axis=-1), last, 0)
 
     # -- well-behaving structure ----------------------------------------
 
@@ -50,24 +58,19 @@ class CodeChain:
 
         A pair qualifies when nu of its componentwise product strictly exceeds
         nu of every product over dominated index pairs (r, s) with r <= i,
-        s <= j, (r, s) != (i, j); running rectangle maxima make the check O(1)
-        per pair.
+        s <= j, (r, s) != (i, j).  All n^2 products get their nu at once, and
+        running maxima down rows, then along columns, give every rectangle.
         """
         if self._wbp is None:
             n = self.n
-            fld = self.field
-            table = np.zeros((n + 1, n + 1), dtype=np.int64)
-            for i in range(1, n + 1):
-                for j in range(i, n + 1):
-                    prod = fld.star(self.basis[i - 1], self.basis[j - 1])
-                    table[i, j] = table[j, i] = self.nu(prod)
-            rect = np.full((n + 1, n + 1), -1, dtype=np.int64)
+            prods = self.field.mul_arrays(self.basis[:, None, :],
+                                          self.basis[None, :, :])
+            table = np.full((n + 1, n + 1), -1, dtype=np.int64)
+            table[1:, 1:] = self._levels(prods)
+            rect = np.maximum.accumulate(np.maximum.accumulate(table, axis=0),
+                                         axis=1)
             wbp = np.zeros((n + 1, n + 1), dtype=bool)
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    dominated = max(rect[i - 1, j], rect[i, j - 1])
-                    wbp[i, j] = table[i, j] > dominated
-                    rect[i, j] = max(table[i, j], dominated)
+            wbp[1:, 1:] = table[1:, 1:] > np.maximum(rect[:-1, 1:], rect[1:, :-1])
             self._wbp = wbp
         return self._wbp
 
@@ -102,21 +105,19 @@ class CodeChain:
         the result comes back sorted by nu.
         """
         fld = self.field
-        taken = {}  # nu level -> (vector, multiplier at that level)
+        taken = {}  # nu level -> (vector, its coordinate at that level)
         for v in vectors:
             cur = np.array(v, dtype=np.int32)
             while True:
-                residual, used = self._echelon.reduce(cur)
-                if residual.any():
-                    raise DependentInput("vector outside the chain span")
-                level = max(used, default=0)
+                level = self.nu(cur)
                 if level == 0:
                     raise DependentInput("input vectors are linearly dependent")
+                coef = int(fld.matmul(cur[None, :], self._inverse)[0, level - 1])
                 if level not in taken:
-                    taken[level] = (cur, used[level])
+                    taken[level] = (cur, coef)
                     break
                 other, other_coef = taken[level]
-                factor = fld.neg(fld.div(used[level], other_coef))
+                factor = fld.neg(fld.div(coef, other_coef))
                 cur = fld.add_arrays(cur, fld.scale_array(factor, other))
         return [taken[level][0] for level in sorted(taken)]
 

@@ -275,13 +275,15 @@ class FieldMatrix:
     __slots__ = ("field", "data")
 
     def __init__(self, fld: FiniteField, data):
-        arr = np.array(data, dtype=np.int32)
+        arr = np.asarray(data)
         if arr.ndim != 2:
             raise MatrixShapeMismatch("matrix data must be two-dimensional")
-        if arr.size and (arr.min() < 0 or arr.max() >= fld.q):
-            raise InvariantViolation(f"entries must lie in [0, {fld.q})")
+        # checked before the int32 cast, which would wrap or truncate
+        if arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0
+                         or arr.max() >= fld.q):
+            raise InvariantViolation(f"entries must be integers in [0, {fld.q})")
         self.field = fld
-        self.data = arr
+        self.data = arr.astype(np.int32)
 
     @classmethod
     def zeros(cls, fld: FiniteField, nrows: int, ncols: int) -> "FieldMatrix":
@@ -350,40 +352,34 @@ class Echelon:
     """Echelon form over a field, grown one row at a time.
 
     Each stored row is 1 at its pivot, its first nonzero column, and 0 at the
-    pivots of the rows stored before it.  Rows carry a level tag, so
-    :meth:`reduce` can report which inserted rows a vector is made of.
+    pivots of the rows stored before it.
     """
 
     def __init__(self, fld: FiniteField):
         self.field = fld
         self.pivots = []
         self.rows = []
-        self.levels = []
 
     def reduce(self, v):
         """Eliminate v against the stored rows; return (residual, multipliers).
 
-        ``multipliers`` maps the level of each row used to its nonzero
-        multiplier, and ``residual`` is v minus the sum of multiplier times
-        row.  The residual is 0 at every pivot, and 0 iff v lies in the span
-        of the rows.
+        ``multipliers`` maps the 1-based position of each stored row used to
+        its nonzero multiplier, and ``residual`` is v minus the sum of
+        multiplier times row.  The residual is 0 at every pivot, and 0 iff v
+        lies in the span of the rows.
         """
         fld = self.field
         v = np.array(v, dtype=np.int32)
         used = {}
-        for pc, row, level in zip(self.pivots, self.rows, self.levels):
+        for position, (pc, row) in enumerate(zip(self.pivots, self.rows), 1):
             coef = int(v[pc])
             if coef:
-                used[level] = coef
+                used[position] = coef
                 v = fld.add_arrays(v, fld.scale_array(fld.neg(coef), row))
         return v, used
 
-    def insert(self, row, level=None):
-        """Store row; return its pivot column, or None when it is dependent.
-
-        ``level`` tags the row in :meth:`reduce`; it defaults to the row's
-        1-based position among the stored rows.
-        """
+    def insert(self, row):
+        """Store row; return its pivot column, or None when it is dependent."""
         residual, _ = self.reduce(row)
         nz = np.flatnonzero(residual)
         if nz.size == 0:
@@ -392,7 +388,6 @@ class Echelon:
         fld = self.field
         self.pivots.append(pc)
         self.rows.append(fld.scale_array(fld.inv(int(residual[pc])), residual))
-        self.levels.append(len(self.rows) if level is None else level)
         return pc
 
 

@@ -18,6 +18,7 @@ from .gf import FieldMatrix, FiniteField, rref
 from .generic_bound import CodeChain
 
 _BLOCK_TARGET = 8192
+_COMB_CAP = 10 ** 6  # witness candidates tried before giving up
 
 
 @dataclass(frozen=True)
@@ -150,14 +151,14 @@ def dual(M: FieldMatrix) -> FieldMatrix:
     return FieldMatrix(M.field, out)
 
 
-def find_isometry_vector(chain: CodeChain, comb_cap: int = 10 ** 6):
+def find_isometry_vector(chain: CodeChain):
     """Coordinatewise-scaling witness making every C_i isometric to the dual
     of its mirror, or None when no such vector exists.
 
     The defining bilinear conditions are linear in the witness, so candidates
     form the nullspace of the matrix of componentwise basis products over all
     index pairs (a, b) with a + b <= n; the nullspace is then scanned (up to
-    ``comb_cap`` combinations) for a vector with every coordinate nonzero.
+    ``_COMB_CAP`` combinations) for a vector with every coordinate nonzero.
     """
     fld = chain.field
     n = chain.n
@@ -174,7 +175,7 @@ def find_isometry_vector(chain: CodeChain, comb_cap: int = 10 ** 6):
     q = fld.q
     seen = 0
     for mu in product(range(q), repeat=d):
-        if seen >= comb_cap:
+        if seen >= _COMB_CAP:
             return None
         seen += 1
         if not any(mu):

@@ -6,7 +6,7 @@ from operator import or_
 import numpy as np
 import pytest
 
-from agb import HStar, NumericalSemigroup, hermitian_table
+from agb import FieldMatrix, HStar, NumericalSemigroup, hermitian_table, rref
 
 # #Λ*_i for i = 1..64 on the Suzuki jump set over <8,10,12,13>, n = 64.
 # Independently derived (reachability sieve + direct set intersection, also
@@ -54,6 +54,20 @@ def ghw_bound_naive(hs, i, r):
     masks = dense_profile(hs)[1][:i]
     return min(bin(reduce(or_, sub)).count("1")
                for sub in combinations(masks, r))
+
+
+def nu_reference(fld, basis, v):
+    """nu by ranks alone: the least i such that b_1..b_i plus v has rank i.
+
+    The reference for ``CodeChain.nu``; it shares no code with the chain's
+    coordinates.  Returns 0 for the zero vector.
+    """
+    basis = np.asarray(basis, dtype=np.int32)
+    for i in range(basis.shape[0] + 1):
+        stacked = np.vstack([basis[:i], np.asarray(v, dtype=np.int32)[None, :]])
+        if rref(FieldMatrix(fld, stacked)).rank == i:
+            return i
+    raise ValueError("v lies outside the span of the basis")
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,8 @@ from agb import (HStar, NumericalSemigroup, biorthogonal_adjust,
                  rref, save_table)
 from agb.errors import (BudgetOutOfRange, DeltaOutOfRange, InvariantViolation,
                         MalformedChain, NotIsometryDual, SchemaError,
-                        UnreadableFile, UnsupportedParameter, UnwritableFile)
+                        UnreadableFile, UnsupportedParameter, UnwritableFile,
+                        ZeroPivot)
 from agb.evalcode import EvaluationTable, chain_matrix, measured_dimensions
 from agb.bounds import lambda_profile
 
@@ -244,6 +245,32 @@ def test_biorthogonal_adjust_rejects_bad_witness(herm2_table):
         biorthogonal_adjust(herm2_table, [0] * 8)
     with pytest.raises(NotIsometryDual):
         biorthogonal_adjust(herm2_table, [1, 2, 3, 1, 2, 3, 1, 0])
+
+
+def test_biorthogonal_adjust_pinned_rows(herm2_table):
+    # rows generated by the pairing-by-pairing adjustment that computed
+    # every (x * w_s) . w_j with its own dot product
+    x = find_isometry_vector(code_chain(herm2_table))
+    assert x == (1,) * 8
+    assert biorthogonal_adjust(herm2_table, x).data.tolist() == [
+        [1, 1, 1, 1, 1, 1, 1, 1],
+        [0, 0, 1, 1, 2, 2, 3, 3],
+        [1, 0, 3, 2, 3, 2, 3, 2],
+        [0, 0, 1, 1, 3, 3, 2, 2],
+        [0, 0, 3, 2, 1, 3, 2, 1],
+        [1, 1, 0, 0, 0, 0, 0, 0],
+        [0, 0, 3, 2, 2, 1, 1, 3],
+        [1, 0, 0, 0, 0, 0, 0, 0],
+    ]
+
+
+@pytest.mark.parametrize("x", [
+    [1, 2, 3, 1, 2, 3, 1, 2],  # a mirror pairing of the raw rows vanishes
+    [1, 1, 1, 1, 1, 1, 1, 2],  # only the adjusted rows show the fault
+])
+def test_biorthogonal_adjust_rejects_nonzero_invalid_witness(herm2_table, x):
+    with pytest.raises(ZeroPivot):
+        biorthogonal_adjust(herm2_table, x)
 
 
 def test_improved_generators_with_adjustment(herm2_table):

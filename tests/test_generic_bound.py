@@ -7,8 +7,10 @@ import pytest
 from agb import CodeChain, FieldMatrix, code, d_star, empirical_hstar, field, min_distance
 from agb.bounds import lambda_profile
 from agb.errors import (AgbError, DependentInput, IndexOutOfRange,
-                        MatrixShapeMismatch)
-from agb.evalcode import chain_matrix
+                        InvariantViolation, MatrixShapeMismatch)
+from agb.evalcode import chain_matrix, code_chain
+
+from conftest import nu_reference
 
 
 def random_invertible(fld, n, rng):
@@ -57,21 +59,44 @@ def test_nu_subadditivity_random():
 
 def test_well_behaving_matches_definition_on_random_chain():
     rng = random.Random(31337)
-    fld = field(2, 2)
-    for n in (3, 4):
-        chain = CodeChain(fld, random_invertible(fld, n, rng))
-        nu_prod = {(i, j): chain.nu(fld.star(chain.basis[i - 1],
-                                             chain.basis[j - 1]))
-                   for i in range(1, n + 1) for j in range(1, n + 1)}
-        wbp = chain.well_behaving()
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                expected = all(
-                    nu_prod[(r, s)] < nu_prod[(i, j)]
-                    for r in range(1, i + 1) for s in range(1, j + 1)
-                    if (r, s) != (i, j)
-                )
-                assert ((i, j) in wbp) == expected
+    for p, k in ((2, 1), (3, 1), (2, 2), (3, 2)):
+        fld = field(p, k)
+        for n in range(1, 7):
+            chain = CodeChain(fld, random_invertible(fld, n, rng))
+            nu_prod = {(i, j): nu_reference(fld, chain.basis,
+                                            fld.star(chain.basis[i - 1],
+                                                     chain.basis[j - 1]))
+                       for i in range(1, n + 1) for j in range(1, n + 1)}
+            wbp = chain.well_behaving()
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    expected = all(
+                        nu_prod[(r, s)] < nu_prod[(i, j)]
+                        for r in range(1, i + 1) for s in range(1, j + 1)
+                        if (r, s) != (i, j)
+                    )
+                    assert ((i, j) in wbp) == expected
+
+
+def test_nu_matches_rank_reference_on_random_chains():
+    rng = random.Random(8080)
+    for p, k in ((2, 1), (3, 1), (2, 2), (3, 2)):
+        fld = field(p, k)
+        for n in range(1, 7):
+            chain = CodeChain(fld, random_invertible(fld, n, rng))
+            for _ in range(10):
+                v = np.array([rng.randrange(fld.q) for _ in range(n)])
+                assert chain.nu(v) == nu_reference(fld, chain.basis, v)
+
+
+def test_hermitian_lambda_counts_pinned(herm2_table, herm3_table):
+    # #Λ per level of the measured Hermitian chains, generated by the
+    # row-by-row elimination that computed nu before coordinates did
+    assert code_chain(herm2_table).lambda_counts().tolist() == \
+        [0, 8, 6, 5, 4, 3, 2, 2, 1]
+    assert code_chain(herm3_table).lambda_counts().tolist() == [
+        0, 27, 24, 23, 21, 20, 19, 18, 17, 16, 15, 14, 13, 12, 11, 10, 9, 8,
+        7, 6, 6, 4, 3, 4, 3, 2, 2, 1]
 
 
 def test_pair_one_one_always_well_behaving(herm2_chain):
@@ -143,6 +168,16 @@ def test_chain_requires_full_rank():
     rows = np.array([[1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=np.int32)
     with pytest.raises(DependentInput):
         CodeChain(fld, rows)
+
+
+def test_chain_basis_entries_follow_the_matrix_contract():
+    fld = field(2, 2)
+    wrapped = np.eye(2, dtype=np.int64)
+    wrapped[0, 0] = 2 ** 32 + 1  # 1 after an int32 cast
+    with pytest.raises(InvariantViolation):
+        CodeChain(fld, wrapped)
+    with pytest.raises(InvariantViolation):
+        CodeChain(fld, [[1.0, 0.0], [0.0, 1.0]])
 
 
 def test_triangular_basis_already_distinct(herm2_chain):

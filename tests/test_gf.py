@@ -221,12 +221,12 @@ def test_echelon_reduce_rebuilds_v_and_insert_tracks_rank():
             for i, row in enumerate(rows):
                 before = rref(FieldMatrix(f, rows[:i])).rank if i else 0
                 after = rref(FieldMatrix(f, rows[: i + 1])).rank
-                pivot = ech.insert(row, level=10 + i)
+                pivot = ech.insert(row)
                 assert (pivot is None) == (after == before)
                 if pivot is not None:
                     assert ech.rows[-1][pivot] == 1
                     assert not ech.rows[-1][:pivot].any()
-            by_level = dict(zip(ech.levels, ech.rows))
+            by_level = dict(enumerate(ech.rows, 1))
             for trial in range(6):
                 if trial % 2:  # a vector of the span
                     coefs = np.array([rng.randrange(f.q) for _ in rows])
@@ -293,6 +293,17 @@ def test_matrix_entry_validation():
     with pytest.raises(MatrixShapeMismatch):
         FieldMatrix(f4, [0, 1, 2])
     assert issubclass(InvariantViolation, AgbError)
+
+
+@pytest.mark.parametrize("data", [
+    np.array([[2 ** 32 + 1]], dtype=np.int64),  # an int32 cast wraps it to 1
+    [[1.7]],
+    [["1"]],
+    [[2 ** 31]],
+], ids=["int64-wraps", "float", "string", "python-int-2^31"])
+def test_matrix_entries_are_checked_before_the_cast(data):
+    with pytest.raises(InvariantViolation):
+        FieldMatrix(field(2, 2), data)
 
 
 def test_matrix_json_roundtrip(tmp_path):
