@@ -2,9 +2,10 @@
 
 An :class:`EvaluationTable` holds, for every pole order up to n+2g-1, the
 values of one function with that pole order at n fixed points.  Truncating the
-table at a budget m yields the generator matrix of the code at m; one rank
-pass per table measures every dimension and so recovers the jump set
-empirically, with no curve machinery at runtime.  Built-in constructor: Hermitian curves for q0 = 2, 3.
+table at a budget m yields the generator matrix of the code at m; one ``rref``
+per table measures every dimension and so recovers the jump set empirically,
+with no curve machinery at runtime.  Built-in constructor: Hermitian curves
+for q0 = 2, 3.
 """
 
 import json
@@ -17,7 +18,7 @@ from .errors import (BudgetOutOfRange, InvariantViolation, NotIsometryDual,
                      SchemaError, UnreadableFile, UnsupportedParameter,
                      UnwritableFile, ZeroPivot)
 from .generic_bound import CodeChain
-from .gf import Echelon, FieldMatrix, FiniteField, field
+from .gf import FieldMatrix, FiniteField, field, field_array, rref
 from .hstar import HStar
 from .semigroup import NumericalSemigroup
 
@@ -32,7 +33,8 @@ class EvaluationTable:
 
     Invariants (checked on construction): pole orders strictly increasing and
     equal to the semigroup members up to n+2g-1; the pole-order-0 row is the
-    all-ones vector; every value lies in the field.
+    all-ones vector; every value is an integer in [0, q), checked before the
+    int32 cast.
     """
 
     __slots__ = ("field", "points", "functions", "semigroup", "_dims")
@@ -42,7 +44,7 @@ class EvaluationTable:
         self.field = fld
         self.points = tuple(str(p) for p in points)
         self.functions = tuple(
-            FunctionRow(int(po), np.array(vals, dtype=np.int32))
+            FunctionRow(int(po), field_array(fld, vals))
             for po, vals in functions
         )
         self.semigroup = semigroup
@@ -76,9 +78,6 @@ class EvaluationTable:
                 raise InvariantViolation(
                     f"row of pole order {f.pole_order} has wrong length"
                 )
-            if f.values.size and (f.values.min() < 0
-                                  or f.values.max() >= self.field.q):
-                raise InvariantViolation("values outside the field")
         if not np.array_equal(self.functions[0].values, np.ones(n, dtype=np.int32)):
             raise InvariantViolation("the pole-order-0 row must be all ones")
 
@@ -145,18 +144,18 @@ def code(table: EvaluationTable, m: int) -> OnePointCode:
 def measured_dimensions(table: EvaluationTable) -> list[int]:
     """Measured code dimension at every budget m = 0 .. n+2g-1.
 
-    One echelon pass over the rows in pole order, run on first use and kept
-    on the table; the table never changes, so neither do its ranks.
+    Row j of the table raises the rank exactly when column j of its
+    transpose is a pivot, so one ``rref`` of the transpose gives every rank;
+    the dimensions are their running sum over pole orders.  Run on first use
+    and kept on the table: the table never changes, so neither do its ranks.
     """
     if table._dims is None:
-        echelon = Echelon(table.field)
-        rows = {f.pole_order: f.values for f in table.functions}
-        dims = []
-        for m in range(table.top_order + 1):
-            if m in rows:
-                echelon.insert(rows[m])
-            dims.append(len(echelon.rows))
-        table._dims = tuple(dims)
+        rows = table.rows_up_to(table.top_order)
+        pivots = list(rref(FieldMatrix(table.field, rows.T)).pivots)
+        poles = np.array([f.pole_order for f in table.functions])
+        raised = np.zeros(table.top_order + 1, dtype=np.int64)
+        raised[poles[pivots]] = 1
+        table._dims = tuple(int(d) for d in np.cumsum(raised))
     return list(table._dims)
 
 
@@ -257,7 +256,7 @@ def load_table(path) -> EvaluationTable:
         genus = int(obj["genus"])
         gens = [int(g) for g in obj["semigroup_generators"]]
         points = [str(p) for p in obj["points"]]
-        functions = [(int(f["pole_order"]), [int(v) for v in f["values"]])
+        functions = [(int(f["pole_order"]), f["values"])
                      for f in obj["functions"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed table file: {exc}") from exc

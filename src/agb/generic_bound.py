@@ -100,26 +100,19 @@ class CodeChain:
     def triangular_basis(self, vectors) -> list[np.ndarray]:
         """Rewrite independent vectors to share their span with distinct nu.
 
-        Whenever two vectors first appear at the same level, subtract a
-        multiple of the resident one to push the newcomer strictly lower;
-        the result comes back sorted by nu.
+        nu is the last nonzero coordinate, so with the coordinates reversed
+        distinct nu are distinct pivots: one ``rref`` gives the new basis,
+        which comes back sorted by nu.
         """
         fld = self.field
-        taken = {}  # nu level -> (vector, its coordinate at that level)
-        for v in vectors:
-            cur = np.array(v, dtype=np.int32)
-            while True:
-                level = self.nu(cur)
-                if level == 0:
-                    raise DependentInput("input vectors are linearly dependent")
-                coef = int(fld.matmul(cur[None, :], self._inverse)[0, level - 1])
-                if level not in taken:
-                    taken[level] = (cur, coef)
-                    break
-                other, other_coef = taken[level]
-                factor = fld.neg(fld.div(coef, other_coef))
-                cur = fld.add_arrays(cur, fld.scale_array(factor, other))
-        return [taken[level][0] for level in sorted(taken)]
+        vectors = np.asarray(vectors, dtype=np.int32)
+        if vectors.size and vectors.shape[-1] != self.n:
+            raise MatrixShapeMismatch(f"expected vectors of length {self.n}")
+        coords = fld.matmul(vectors.reshape(-1, self.n), self._inverse)
+        red = rref(FieldMatrix(fld, coords[:, ::-1]))
+        if red.rank < coords.shape[0]:
+            raise DependentInput("input vectors are linearly dependent")
+        return list(fld.matmul(red.matrix.data[::-1, ::-1], self.basis))
 
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.n:

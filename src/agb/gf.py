@@ -4,8 +4,9 @@ Elements are integers in [0, q) packing polynomial coefficients little-endian
 in base p.  Addition, negation and multiplication read q x q and length-q
 tables built once per field.  The vectorized variants cover whole numpy
 arrays so exhaustive searches stay cheap; they add by XOR in characteristic
-2, where that beats a table read.  :class:`Echelon` is the one elimination
-kernel: row reduction, ranks and code chains are all built on it.
+2, where that beats a table read.  :func:`rref`, a Gauss-Jordan pass whose
+loop runs over columns, is the one elimination: ranks, dual codes, code
+chains and measured dimensions are all read off it.
 """
 
 import json
@@ -269,21 +270,33 @@ def field(p: int, k: int) -> FiniteField:
     return FiniteField(p, k)
 
 
+def field_array(fld: FiniteField, data) -> np.ndarray:
+    """data as an int32 array, once every entry is an integer in [0, q).
+
+    Checked before the cast, which would wrap or truncate; anything else,
+    ragged nesting included, raises :class:`InvariantViolation`.
+    """
+    try:
+        arr = np.asarray(data)
+    except ValueError as exc:
+        raise InvariantViolation(f"ragged entries: {exc}") from exc
+    if arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0
+                     or arr.max() >= fld.q):
+        raise InvariantViolation(f"entries must be integers in [0, {fld.q})")
+    return arr.astype(np.int32)
+
+
 class FieldMatrix:
     """Dense matrix over a finite field; value-semantic and never mutated."""
 
     __slots__ = ("field", "data")
 
     def __init__(self, fld: FiniteField, data):
-        arr = np.asarray(data)
+        arr = field_array(fld, data)
         if arr.ndim != 2:
             raise MatrixShapeMismatch("matrix data must be two-dimensional")
-        # checked before the int32 cast, which would wrap or truncate
-        if arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0
-                         or arr.max() >= fld.q):
-            raise InvariantViolation(f"entries must be integers in [0, {fld.q})")
         self.field = fld
-        self.data = arr.astype(np.int32)
+        self.data = arr
 
     @classmethod
     def zeros(cls, fld: FiniteField, nrows: int, ncols: int) -> "FieldMatrix":
@@ -348,68 +361,32 @@ class RowReduction(NamedTuple):
     pivots: tuple
 
 
-class Echelon:
-    """Echelon form over a field, grown one row at a time.
-
-    Each stored row is 1 at its pivot, its first nonzero column, and 0 at the
-    pivots of the rows stored before it.
-    """
-
-    def __init__(self, fld: FiniteField):
-        self.field = fld
-        self.pivots = []
-        self.rows = []
-
-    def reduce(self, v):
-        """Eliminate v against the stored rows; return (residual, multipliers).
-
-        ``multipliers`` maps the 1-based position of each stored row used to
-        its nonzero multiplier, and ``residual`` is v minus the sum of
-        multiplier times row.  The residual is 0 at every pivot, and 0 iff v
-        lies in the span of the rows.
-        """
-        fld = self.field
-        v = np.array(v, dtype=np.int32)
-        used = {}
-        for position, (pc, row) in enumerate(zip(self.pivots, self.rows), 1):
-            coef = int(v[pc])
-            if coef:
-                used[position] = coef
-                v = fld.add_arrays(v, fld.scale_array(fld.neg(coef), row))
-        return v, used
-
-    def insert(self, row):
-        """Store row; return its pivot column, or None when it is dependent."""
-        residual, _ = self.reduce(row)
-        nz = np.flatnonzero(residual)
-        if nz.size == 0:
-            return None
-        pc = int(nz[0])
-        fld = self.field
-        self.pivots.append(pc)
-        self.rows.append(fld.scale_array(fld.inv(int(residual[pc])), residual))
-        return pc
-
-
 def rref(M: FieldMatrix) -> RowReduction:
-    """Reduced row-echelon form; rows are ordered by pivot column.
+    """Reduced row-echelon form by Gauss-Jordan elimination over the columns.
 
-    The reduced form of a row space is unique, so the result does not depend
-    on the order of elimination.
+    Each column with a nonzero entry at or below the next free row becomes
+    a pivot: the first such row moves up, is scaled to 1 at the pivot, and
+    clears the column from every other row in one array step.  Rows are
+    ordered by pivot column, and the reduced form of a row space is unique.
     """
     fld = M.field
-    forward = Echelon(fld)
-    for row in M.data:
-        forward.insert(row)
-    # inserted by falling pivot, each row is cleared at every later pivot
-    back = Echelon(fld)
-    for i in np.argsort(forward.pivots)[::-1]:
-        back.insert(forward.rows[i])
-    a = np.zeros_like(M.data)
-    rank = len(back.rows)
-    if rank:
-        a[:rank] = back.rows[::-1]
-    return RowReduction(FieldMatrix(fld, a), rank, tuple(back.pivots[::-1]))
+    a = M.data.copy()
+    pivots = []
+    for c in range(a.shape[1]):
+        r = len(pivots)
+        if r == a.shape[0]:
+            break
+        below = np.flatnonzero(a[r:, c])
+        if below.size == 0:
+            continue
+        p = r + int(below[0])
+        a[[r, p]] = a[[p, r]]
+        a[r] = fld.scale_array(fld.inv(int(a[r, c])), a[r])
+        factors = fld.neg_arrays(a[:, c])
+        factors[r] = 0
+        a = fld.add_arrays(a, fld.mul_arrays(factors[:, None], a[r]))
+        pivots.append(c)
+    return RowReduction(FieldMatrix(fld, a), len(pivots), tuple(pivots))
 
 
 def save_matrix(M: FieldMatrix, path) -> None:

@@ -8,7 +8,7 @@ nullspace, and a coordinatewise-scaling witness of isometry-duality.
 
 import os
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import numpy as np
 
@@ -156,34 +156,21 @@ def find_isometry_vector(chain: CodeChain):
     of its mirror, or None when no such vector exists.
 
     The defining bilinear conditions are linear in the witness, so candidates
-    form the nullspace of the matrix of componentwise basis products over all
-    index pairs (a, b) with a + b <= n; the nullspace is then scanned (up to
-    ``_COMB_CAP`` combinations) for a vector with every coordinate nonzero.
+    form the nullspace of the componentwise basis products b_a * b_b, taken
+    from one (n, n, n) product stack masked to a <= b and a + b <= n (with no
+    such pair, the nullspace of no constraints is everything).  The nullspace
+    is then scanned (up to ``_COMB_CAP`` combinations) for a vector with
+    every coordinate nonzero.
     """
     fld = chain.field
     n = chain.n
-    consts = [fld.star(chain.basis[a - 1], chain.basis[b - 1])
-              for a in range(1, n + 1) for b in range(a, n + 1)
-              if a + b <= n]
-    if consts:
-        null = dual(FieldMatrix(fld, np.stack(consts))).data
-    else:
-        null = np.eye(n, dtype=np.int32)
-    d = null.shape[0]
-    if d == 0:
-        return None
-    q = fld.q
-    seen = 0
-    for mu in product(range(q), repeat=d):
-        if seen >= _COMB_CAP:
-            return None
-        seen += 1
-        if not any(mu):
-            continue
-        x = np.zeros(n, dtype=np.int32)
-        for lam, row in zip(mu, null):
-            if lam:
-                x = fld.add_arrays(x, fld.scale_array(lam, row))
+    a = np.arange(1, n + 1)
+    pairs = (a[:, None] <= a[None, :]) & (a[:, None] + a[None, :] <= n)
+    prods = fld.mul_arrays(chain.basis[:, None, :], chain.basis[None, :, :])
+    null = dual(FieldMatrix(fld, prods[pairs])).data
+    combos = product(range(fld.q), repeat=null.shape[0])
+    for mu in islice(combos, 1, _COMB_CAP):  # combination 0 is the zero vector
+        x = fld.matmul(np.array([mu], dtype=np.int32), null)[0]
         if (x != 0).all():
             _assert_isometry(chain, x)
             return tuple(int(v) for v in x)

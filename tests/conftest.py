@@ -1,5 +1,5 @@
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 from operator import or_
 
@@ -68,6 +68,21 @@ def nu_reference(fld, basis, v):
         if rref(FieldMatrix(fld, stacked)).rank == i:
             return i
     raise ValueError("v lies outside the span of the basis")
+
+
+def span_reference(fld, rows):
+    """Row space of rows as a set of tuples, from every coefficient vector.
+
+    The reference for ``rref``: plain enumeration of all q^k combinations,
+    with no elimination, so only for q^k <= 4096.
+    """
+    rows = np.asarray(rows, dtype=np.int32)
+    k = rows.shape[0]
+    assert fld.q ** k <= 4096
+    coefs = np.array(list(product(range(fld.q), repeat=k)),
+                     dtype=np.int32).reshape(fld.q ** k, k)
+    words = fld.sum_field(fld.mul_arrays(coefs[:, :, None], rows[None]), axis=1)
+    return {tuple(int(v) for v in word) for word in words}
 
 
 @pytest.fixture(scope="session")

@@ -24,8 +24,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from agb import (HStar, d_star, feng_rao_improved_dim, hermitian_table,
-                 improved_profile, lambda_profile, lambda_star)
+from agb import (HStar, NumericalSemigroup, d_star, feng_rao_improved_dim,
+                 hermitian_table, improved_profile, lambda_profile, lambda_star)
 from agb.bounds import a_counts_by_index, d_ord, goppa_compare, l_set_check
 from agb.verify import run_verification
 
@@ -237,3 +237,40 @@ def test_golden_sequence_transcription_is_internally_inconsistent(suzuki_hstar):
     assert TRANSCRIBED_SEQUENCE[62] == 1
     assert lambda_star(suzuki_hstar, 63) == {83, 91}
     assert a_route[62] == 2
+
+
+def test_no_suzuki_jump_set_has_the_transcribed_profile():
+    """The transcription fits no length-64 jump set over <8,10,12,13>.
+
+    Below n = 64 a jump set is all of H; at and above it, the members left
+    out of H ∩ [64, 91] form an up-closed set (m absent forces m + h absent),
+    and exactly 14 of the 28 are left out.  Every such set is listed.
+    """
+    gens = [8, 10, 12, 13]
+    S = NumericalSemigroup.from_generators(gens)
+    mem = sieve_membership(gens, 91)
+    low = [h for h in range(64) if mem[h]]
+    tail = [h for h in range(64, 92) if mem[h]]
+    assert len(tail) == 28
+    removals = []
+
+    def walk(pos, removed):
+        # from the top down, x may leave once every x + h above it has left
+        if len(removed) == 14:
+            removals.append(removed)
+        elif pos >= 0:
+            x = tail[pos]
+            walk(pos - 1, removed)
+            if all(y in removed for y in tail[pos + 1:] if mem[y - x]):
+                walk(pos - 1, removed | {x})
+
+    walk(len(tail) - 1, frozenset())
+    assert len(removals) == 344
+    profiles = []
+    for removed in removals:
+        hs = HStar.from_explicit(
+            S, 64, low + [h for h in tail if h not in removed])
+        profiles.append(tuple(int(c) for c in lambda_profile(hs).counts))
+    assert SUZUKI_TRUE_COUNTS in profiles
+    assert TRANSCRIBED_SEQUENCE not in profiles
+    assert min(counts[3] for counts in profiles) >= 52

@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from agb import (HStar, NumericalSemigroup, biorthogonal_adjust,
-                 code, code_chain, empirical_hstar, field, find_isometry_vector,
-                 hermitian_table, improved_generators, load_table, min_distance,
-                 rref, save_table)
+from agb import (FieldMatrix, HStar, NumericalSemigroup, biorthogonal_adjust,
+                 code, code_chain, empirical_hstar, field,
+                 find_isometry_vector, hermitian_table, improved_generators,
+                 load_table, min_distance, rref, save_table)
 from agb.errors import (BudgetOutOfRange, DeltaOutOfRange, InvariantViolation,
                         MalformedChain, NotIsometryDual, SchemaError,
                         UnreadableFile, UnsupportedParameter, UnwritableFile,
@@ -148,6 +148,42 @@ def test_table_rejects_non_unit_first_row():
                         [(0, [1, 2, 1]), (1, [0, 1, 2]), (2, [0, 1, 3])], S)
 
 
+def _tiny_rows(value):
+    """Rows over the trivial semigroup, with value as the last entry."""
+    return [(0, [1, 1, 1]), (1, [0, 1, 2]), (2, [0, 1, value])]
+
+
+# an int32 cast would truncate 1.7, parse "1", overflow 2^31 and wrap 2^32 + 1
+UNCASTABLE = [1.7, "1", 2 ** 31, 2 ** 32 + 1]
+UNCASTABLE_IDS = ["float", "str", "2^31", "2^32+1"]
+
+
+@pytest.mark.parametrize("value", UNCASTABLE, ids=UNCASTABLE_IDS)
+def test_table_rejects_values_a_cast_would_change(value):
+    S = NumericalSemigroup.from_generators([1])
+    with pytest.raises(InvariantViolation):
+        EvaluationTable(field(2, 2), ["P0", "P1", "P2"], _tiny_rows(value), S)
+
+
+@pytest.mark.parametrize("value", UNCASTABLE, ids=UNCASTABLE_IDS)
+def test_load_table_rejects_values_a_cast_would_change(tmp_path, value):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({
+        "field": {"p": 2, "k": 2}, "n": 3, "genus": 0,
+        "semigroup_generators": [1], "points": ["P0", "P1", "P2"],
+        "functions": [{"pole_order": po, "values": vals}
+                      for po, vals in _tiny_rows(value)]}))
+    with pytest.raises(InvariantViolation):
+        load_table(path)
+
+
+def test_table_rejects_a_row_of_wrong_length():
+    S = NumericalSemigroup.from_generators([1])
+    rows = [(0, [1, 1, 1]), (1, [0, 1]), (2, [0, 1, 3])]
+    with pytest.raises(InvariantViolation, match="wrong length"):
+        EvaluationTable(field(2, 2), ["P0", "P1", "P2"], rows, S)
+
+
 def test_load_table_schema_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"field": {"p": 2, "k": 2}, "n": 3}))
@@ -238,6 +274,27 @@ def test_biorthogonal_adjust(herm2_table):
                 assert pairing == 0
     # the first chain row is left untouched
     assert np.array_equal(adjusted.data[0], w[0])
+
+
+def test_biorthogonal_adjust_with_unequal_mirror_pairings(herm2_table):
+    # scaling row i by 1 + (i mod 3) keeps the witness but makes the mirror
+    # pairings differ, so each coefficient must divide by its own pair[i, i]
+    fld = herm2_table.field
+    table = EvaluationTable(
+        fld, herm2_table.points,
+        [(f.pole_order, fld.scale_array(1 + i % 3, f.values))
+         for i, f in enumerate(herm2_table.functions)],
+        herm2_table.semigroup)
+    x = find_isometry_vector(code_chain(table))
+    assert x == (1,) * 8
+    w = chain_matrix(table).data
+    mirror = [fld.dot(w[i], w[7 - i]) for i in range(8)]
+    assert mirror == [3, 2, 2, 2, 2, 2, 2, 3]
+    adjusted = biorthogonal_adjust(table, x).data
+    gram = fld.matmul(adjusted, w.T)
+    assert (gram[:, ::-1] != 0).tolist() == np.eye(8, dtype=bool).tolist()
+    for s in range(1, 9):
+        assert rref(FieldMatrix(fld, np.vstack([w[:s], adjusted[:s]]))).rank == s
 
 
 def test_biorthogonal_adjust_rejects_bad_witness(herm2_table):

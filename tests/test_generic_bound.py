@@ -4,7 +4,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from agb import CodeChain, FieldMatrix, code, d_star, empirical_hstar, field, min_distance
+from agb import (CodeChain, FieldMatrix, code, d_star, empirical_hstar, field,
+                 min_distance, rref)
 from agb.bounds import lambda_profile
 from agb.errors import (AgbError, DependentInput, IndexOutOfRange,
                         InvariantViolation, MatrixShapeMismatch)
@@ -196,7 +197,6 @@ def test_triangular_basis_resolves_collision(herm2_chain):
     assert len(set(nus)) == 2
     assert 5 in nus
     # span is preserved
-    from agb import rref
     before = rref(FieldMatrix(fld, np.stack([v1, v2])))
     after = rref(FieldMatrix(fld, np.stack(out)))
     assert before.matrix.data[: before.rank].tolist() == \
@@ -212,7 +212,9 @@ def test_triangular_basis_of_full_prefix(herm2_chain):
     vecs = [fld.matmul(coeffs[j: j + 1], herm2_chain.basis[:i])[0]
             for j in range(i)]
     out = herm2_chain.triangular_basis(vecs)
-    assert sorted(herm2_chain.nu(v) for v in out) == list(range(1, i + 1))
+    assert [herm2_chain.nu(v) for v in out] == list(range(1, i + 1))
+    assert rref(FieldMatrix(fld, np.stack(out))).matrix == \
+        rref(FieldMatrix(fld, np.stack(vecs))).matrix
 
 
 def test_triangular_basis_rejects_dependent(herm2_chain):

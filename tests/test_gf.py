@@ -10,7 +10,9 @@ from agb import FieldMatrix, dual, field, rref
 from agb.errors import (AgbError, DivisionByZero, InvariantViolation,
                         MatrixShapeMismatch, SchemaError, UnreadableFile,
                         UnsupportedField)
-from agb.gf import Echelon, _digits, _is_irreducible
+from agb.gf import _digits, _is_irreducible
+
+from conftest import span_reference
 
 PINNED = {(2, 2): 7, (2, 3): 11, (2, 4): 19, (3, 2): 10}
 SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
@@ -204,47 +206,6 @@ def test_rref_pivot_columns_are_unit():
         assert all(col[j] == 0 for j in range(red.matrix.nrows) if j != i)
 
 
-def test_echelon_reduce_rebuilds_v_and_insert_tracks_rank():
-    rng = random.Random(23)
-    for p, k in ((2, 2), (3, 2), (5, 2), (3, 3), (13, 2)):
-        f = field(p, k)
-        for _ in range(10):
-            ncols = rng.randint(1, 6)
-            # repeated and scaled rows make some inserts dependent
-            base = [[rng.randrange(f.q) for _ in range(ncols)]
-                    for _ in range(rng.randint(1, 4))]
-            rows = [list(f.scale_array(rng.randrange(f.q), rng.choice(base)))
-                    if rng.random() < 0.4 else
-                    [rng.randrange(f.q) for _ in range(ncols)]
-                    for _ in range(rng.randint(1, 8))]
-            ech = Echelon(f)
-            for i, row in enumerate(rows):
-                before = rref(FieldMatrix(f, rows[:i])).rank if i else 0
-                after = rref(FieldMatrix(f, rows[: i + 1])).rank
-                pivot = ech.insert(row)
-                assert (pivot is None) == (after == before)
-                if pivot is not None:
-                    assert ech.rows[-1][pivot] == 1
-                    assert not ech.rows[-1][:pivot].any()
-            by_level = dict(enumerate(ech.rows, 1))
-            for trial in range(6):
-                if trial % 2:  # a vector of the span
-                    coefs = np.array([rng.randrange(f.q) for _ in rows])
-                    v = f.sum_field(f.mul_arrays(coefs[:, None], rows), axis=0)
-                else:
-                    v = np.array([rng.randrange(f.q) for _ in range(ncols)])
-                residual, multipliers = ech.reduce(v)
-                assert not residual[ech.pivots].any()
-                total = residual
-                for level, coef in multipliers.items():
-                    assert coef != 0
-                    total = f.add_arrays(total,
-                                         f.scale_array(coef, by_level[level]))
-                assert list(total) == list(v)
-                grown = rref(FieldMatrix(f, rows + [list(v)])).rank
-                assert (not residual.any()) == (grown == len(ech.rows))
-
-
 @st.composite
 def field_matrices(draw, fields=SUPPORTED_FIELDS, max_rows=6):
     p, k = draw(st.sampled_from(fields))
@@ -265,11 +226,16 @@ def test_rref_rank_and_dual_properties(M):
     again = rref(red.matrix)
     assert again == red
     assert red.rank == rref(M.transpose()).rank
-    ech = Echelon(f)
-    for row in M.data:
-        ech.insert(row)
-    assert len(ech.rows) == red.rank
-    assert sorted(ech.pivots) == list(red.pivots)
+    R = red.matrix.data
+    if f.q ** M.nrows <= 4096:
+        span = span_reference(f, M.data)
+        assert span_reference(f, R) == span
+        assert f.q ** red.rank == len(span)
+    assert list(red.pivots) == sorted(set(red.pivots))
+    for i, pc in enumerate(red.pivots):
+        assert list(R[:, pc]) == [int(j == i) for j in range(M.nrows)]
+        assert not R[i, :pc].any()
+    assert not R[red.rank:].any()
     D = dual(M)
     assert red.rank + D.rank() == M.ncols
     if M.nrows and D.nrows:
@@ -300,7 +266,8 @@ def test_matrix_entry_validation():
     [[1.7]],
     [["1"]],
     [[2 ** 31]],
-], ids=["int64-wraps", "float", "string", "python-int-2^31"])
+    [[0, 1], [2]],
+], ids=["int64-wraps", "float", "string", "python-int-2^31", "ragged"])
 def test_matrix_entries_are_checked_before_the_cast(data):
     with pytest.raises(InvariantViolation):
         FieldMatrix(field(2, 2), data)

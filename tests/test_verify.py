@@ -8,7 +8,7 @@ from agb.verify import run_verification
 def counted_run(monkeypatch, table, **kwargs):
     """Run the verification, counting exhaustive searches and chain passes.
 
-    A chain pass is one ``Echelon`` built inside ``agb.evalcode``.
+    A chain pass is one ``rref`` called inside ``agb.evalcode``.
     """
     calls = {"min_distance": 0, "weight_hierarchy": 0, "chain_passes": 0}
 
@@ -20,8 +20,8 @@ def counted_run(monkeypatch, table, **kwargs):
 
     for key in ("min_distance", "weight_hierarchy"):
         monkeypatch.setattr(oracle, key, counting(key, getattr(oracle, key)))
-    monkeypatch.setattr(evalcode, "Echelon",
-                        counting("chain_passes", evalcode.Echelon))
+    monkeypatch.setattr(evalcode, "rref",
+                        counting("chain_passes", evalcode.rref))
     return run_verification(table, **kwargs), calls
 
 
