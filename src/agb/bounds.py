@@ -17,6 +17,7 @@ one depth-first sweep over those ideals, which answers every requested
 
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -380,19 +381,13 @@ class BoundTable(NamedTuple):
 def bound_table(hs: HStar) -> BoundTable:
     """Full per-index table: counts, running bound, Goppa value, order bound."""
     profile = lambda_profile(hs)
-    dstar = profile.d_star_vector()
-    iso = hs.is_isometry_dual()
-    dord = None
-    if iso:
-        acounts = a_counts_by_index(hs)
-        dord = np.minimum.accumulate(acounts[::-1])
-    rows = []
-    for i, m in enumerate(hs.members, start=1):
-        rows.append(BoundRow(
-            i, m, int(profile.counts[i - 1]), int(dstar[i - 1]), hs.n - m,
-            int(dord[i - 1]) if iso else None,
-        ))
-    return BoundTable(hs, tuple(rows))
+    dord = repeat(None)
+    if hs.is_isometry_dual():
+        dord = np.minimum.accumulate(a_counts_by_index(hs)[::-1]).tolist()
+    columns = zip(range(1, hs.n + 1), hs.members, profile.counts.tolist(),
+                  profile.d_star_vector().tolist(),
+                  (hs.n - hs.members_array()).tolist(), dord)
+    return BoundTable(hs, tuple(map(BoundRow._make, columns)))
 
 
 class GhwEntry(NamedTuple):

@@ -6,6 +6,7 @@ stderr) or closed stdout, 2 usage.  Flags change formatting, never numbers.
 """
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -136,30 +137,27 @@ def _cmd_hstar(parser, args) -> int:
 
 def _cmd_bounds(parser, args) -> int:
     hs = _resolve_hstar(parser, args)
-    table = bounds_mod.bound_table(hs)
+    rows = bounds_mod.bound_table(hs).rows
     iso = hs.is_isometry_dual()
-    rows = []
-    for row in table.rows:
-        item = {"i": row.i, "m_i": row.m, "lambda_count": row.lambda_count,
-                "d_star": row.d_star, "goppa": row.goppa}
-        if iso:
-            item["d_ord"] = row.d_ord
-        rows.append(item)
-    payload = {"n": hs.n, "mode": hs.mode.value, "rows": rows}
-
-    def text(p):
-        head = f"{'i':>4} {'m_i':>5} {'lambda':>7} {'d_star':>7} {'goppa':>6}"
-        if iso:
-            head += f" {'d_ord':>6}"
-        yield head
-        for r in p["rows"]:
-            line = (f"{r['i']:>4} {r['m_i']:>5} {r['lambda_count']:>7} "
-                    f"{r['d_star']:>7} {r['goppa']:>6}")
-            if iso:
-                line += f" {r['d_ord']:>6}"
-            yield line
-
-    _emit(payload, args.json, text)
+    width = 6 if iso else 5  # d_ord, a row's last field, only when iso
+    # JSON equal to json.dumps(payload, indent=2), pinned in test_golden.py
+    if args.json:
+        row = ('    {\n      "i": %d,\n      "m_i": %d,\n'
+               '      "lambda_count": %d,\n      "d_star": %d,\n'
+               '      "goppa": %d' + (',\n      "d_ord": %d' if iso else "")
+               + "\n    }")
+        head = '{\n  "n": %d,\n  "mode": %s,\n  "rows": [\n' % (
+            hs.n, json.dumps(hs.mode.value))
+        out = head + ",\n".join([row % r[:width] for r in rows]) + "\n  ]\n}\n"
+    else:
+        row = "%4d %5d %7d %7d %6d" + (" %6d" if iso else "")
+        head = "   i   m_i  lambda  d_star  goppa" + ("  d_ord" if iso else "")
+        out = "\n".join([head] + [row % r[:width] for r in rows]) + "\n"
+    # in buffer-sized pieces: a reader that closed the pipe then raises
+    # BrokenPipeError, where one larger write reports a short write and goes on
+    for at in range(0, len(out), io.DEFAULT_BUFFER_SIZE):
+        sys.stdout.write(out[at:at + io.DEFAULT_BUFFER_SIZE])
+    sys.stdout.flush()
     return 0
 
 

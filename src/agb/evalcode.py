@@ -28,13 +28,20 @@ class FunctionRow(NamedTuple):
     values: np.ndarray
 
 
+def _pole_order(po) -> int:
+    # a cast would truncate 0.9 and parse "1", so only integers pass
+    if isinstance(po, bool) or not isinstance(po, (int, np.integer)):
+        raise InvariantViolation(f"pole order {po!r} is not an integer")
+    return int(po)
+
+
 class EvaluationTable:
     """Ordered function-value rows over a fixed point set.
 
-    Invariants (checked on construction): pole orders strictly increasing and
-    equal to the semigroup members up to n+2g-1; the pole-order-0 row is the
-    all-ones vector; every value is an integer in [0, q), checked before the
-    int32 cast.
+    Invariants (checked on construction): pole orders are integers, not
+    bools, strictly increasing and equal to the semigroup members up to
+    n+2g-1; the pole-order-0 row is the all-ones vector; every value is an
+    integer in [0, q), checked before the int32 cast.
     """
 
     __slots__ = ("field", "points", "functions", "semigroup", "_dims")
@@ -44,7 +51,7 @@ class EvaluationTable:
         self.field = fld
         self.points = tuple(str(p) for p in points)
         self.functions = tuple(
-            FunctionRow(int(po), field_array(fld, vals))
+            FunctionRow(_pole_order(po), field_array(fld, vals))
             for po, vals in functions
         )
         self.semigroup = semigroup
@@ -256,7 +263,7 @@ def load_table(path) -> EvaluationTable:
         genus = int(obj["genus"])
         gens = [int(g) for g in obj["semigroup_generators"]]
         points = [str(p) for p in obj["points"]]
-        functions = [(int(f["pole_order"]), f["values"])
+        functions = [(f["pole_order"], f["values"])
                      for f in obj["functions"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed table file: {exc}") from exc

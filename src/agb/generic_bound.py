@@ -95,25 +95,6 @@ class CodeChain:
         counts = self.lambda_counts()
         return int(counts[1: i + 1].min())
 
-    # -- triangular bases -------------------------------------------------
-
-    def triangular_basis(self, vectors) -> list[np.ndarray]:
-        """Rewrite independent vectors to share their span with distinct nu.
-
-        nu is the last nonzero coordinate, so with the coordinates reversed
-        distinct nu are distinct pivots: one ``rref`` gives the new basis,
-        which comes back sorted by nu.
-        """
-        fld = self.field
-        vectors = np.asarray(vectors, dtype=np.int32)
-        if vectors.size and vectors.shape[-1] != self.n:
-            raise MatrixShapeMismatch(f"expected vectors of length {self.n}")
-        coords = fld.matmul(vectors.reshape(-1, self.n), self._inverse)
-        red = rref(FieldMatrix(fld, coords[:, ::-1]))
-        if red.rank < coords.shape[0]:
-            raise DependentInput("input vectors are linearly dependent")
-        return list(fld.matmul(red.matrix.data[::-1, ::-1], self.basis))
-
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.n:
             raise IndexOutOfRange(f"index {i} outside 1..{self.n}")

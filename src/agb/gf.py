@@ -230,14 +230,6 @@ class FiniteField:
         return reduce(partial(self._gather, self._add), planes,
                       np.zeros(planes.shape[1:], dtype=np.int32))
 
-    def dot(self, u, v) -> int:
-        """Field inner product of two equal-length vectors."""
-        return int(self.sum_field(self.mul_arrays(u, v)))
-
-    def star(self, u, v):
-        """Componentwise product of two vectors."""
-        return self.mul_arrays(u, v)
-
     def matmul(self, a, b):
         """Field matrix product of 2-D arrays (r x k) @ (k x n)."""
         a = np.asarray(a, dtype=np.int32)

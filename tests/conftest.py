@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from agb import FieldMatrix, HStar, NumericalSemigroup, hermitian_table, rref
+from agb.errors import DependentInput, MatrixShapeMismatch
 
 # #Λ*_i for i = 1..64 on the Suzuki jump set over <8,10,12,13>, n = 64.
 # Independently derived (reachability sieve + direct set intersection, also
@@ -83,6 +84,34 @@ def span_reference(fld, rows):
                      dtype=np.int32).reshape(fld.q ** k, k)
     words = fld.sum_field(fld.mul_arrays(coefs[:, :, None], rows[None]), axis=1)
     return {tuple(int(v) for v in word) for word in words}
+
+
+def dot(fld, u, v) -> int:
+    """Field inner product of two equal-length vectors."""
+    return int(fld.sum_field(fld.mul_arrays(u, v)))
+
+
+def star(fld, u, v):
+    """Componentwise product of two vectors."""
+    return fld.mul_arrays(u, v)
+
+
+def triangular_basis(chain, vectors) -> list:
+    """Rewrite independent vectors to share their span with distinct nu.
+
+    nu is the last nonzero coordinate in the chain's basis, so with the
+    coordinates reversed distinct nu are distinct pivots: one ``rref`` gives
+    the new basis, which comes back sorted by nu.
+    """
+    fld = chain.field
+    vectors = np.asarray(vectors, dtype=np.int32)
+    if vectors.size and vectors.shape[-1] != chain.n:
+        raise MatrixShapeMismatch(f"expected vectors of length {chain.n}")
+    coords = fld.matmul(vectors.reshape(-1, chain.n), chain._inverse)
+    red = rref(FieldMatrix(fld, coords[:, ::-1]))
+    if red.rank < coords.shape[0]:
+        raise DependentInput("input vectors are linearly dependent")
+    return list(fld.matmul(red.matrix.data[::-1, ::-1], chain.basis))
 
 
 @pytest.fixture(scope="session")

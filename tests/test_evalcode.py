@@ -14,6 +14,8 @@ from agb.errors import (BudgetOutOfRange, DeltaOutOfRange, InvariantViolation,
 from agb.evalcode import EvaluationTable, chain_matrix, measured_dimensions
 from agb.bounds import lambda_profile
 
+from conftest import dot, star
+
 
 def test_hermitian_q0_2_shape(herm2_table):
     t = herm2_table
@@ -165,16 +167,56 @@ def test_table_rejects_values_a_cast_would_change(value):
         EvaluationTable(field(2, 2), ["P0", "P1", "P2"], _tiny_rows(value), S)
 
 
-@pytest.mark.parametrize("value", UNCASTABLE, ids=UNCASTABLE_IDS)
-def test_load_table_rejects_values_a_cast_would_change(tmp_path, value):
-    path = tmp_path / "t.json"
+def _tiny_table_file(path, rows):
+    """A table file over the trivial semigroup holding rows."""
     path.write_text(json.dumps({
         "field": {"p": 2, "k": 2}, "n": 3, "genus": 0,
         "semigroup_generators": [1], "points": ["P0", "P1", "P2"],
         "functions": [{"pole_order": po, "values": vals}
-                      for po, vals in _tiny_rows(value)]}))
+                      for po, vals in rows]}))
+    return path
+
+
+@pytest.mark.parametrize("value", UNCASTABLE, ids=UNCASTABLE_IDS)
+def test_load_table_rejects_values_a_cast_would_change(tmp_path, value):
+    path = _tiny_table_file(tmp_path / "t.json", _tiny_rows(value))
     with pytest.raises(InvariantViolation):
         load_table(path)
+
+
+def _tiny_rows_with_pole(index, pole):
+    rows = _tiny_rows(3)
+    rows[index] = (pole, rows[index][1])
+    return rows
+
+
+# int() would load 0.9, "1" and 2.7 as the valid pole orders 0, 1 and 2
+BAD_POLES = [(0, 0.9), (1, "1"), (2, 2.7), (1, True)]
+BAD_POLE_IDS = ["0.9", "str", "2.7", "bool"]
+
+
+@pytest.mark.parametrize("index, pole", BAD_POLES, ids=BAD_POLE_IDS)
+def test_table_rejects_pole_orders_a_cast_would_change(index, pole):
+    S = NumericalSemigroup.from_generators([1])
+    with pytest.raises(InvariantViolation, match="not an integer"):
+        EvaluationTable(field(2, 2), ["P0", "P1", "P2"],
+                        _tiny_rows_with_pole(index, pole), S)
+
+
+@pytest.mark.parametrize("index, pole", BAD_POLES, ids=BAD_POLE_IDS)
+def test_load_table_rejects_pole_orders_a_cast_would_change(tmp_path, index,
+                                                           pole):
+    path = _tiny_table_file(tmp_path / "t.json",
+                            _tiny_rows_with_pole(index, pole))
+    with pytest.raises(InvariantViolation, match="not an integer"):
+        load_table(path)
+
+
+def test_table_accepts_numpy_integer_pole_orders():
+    S = NumericalSemigroup.from_generators([1])
+    rows = [(np.int64(po), vals) for po, vals in _tiny_rows(3)]
+    table = EvaluationTable(field(2, 2), ["P0", "P1", "P2"], rows, S)
+    assert [type(f.pole_order) for f in table.functions] == [int] * 3
 
 
 def test_table_rejects_a_row_of_wrong_length():
@@ -265,9 +307,9 @@ def test_biorthogonal_adjust(herm2_table):
     w = chain_matrix(herm2_table).data
     n = w.shape[0]
     for i in range(n):
-        row = fld.star(np.array(x, dtype=np.int32), adjusted.data[i])
+        row = star(fld, np.array(x, dtype=np.int32), adjusted.data[i])
         for j in range(n):
-            pairing = fld.dot(row, w[j])
+            pairing = dot(fld, row, w[j])
             if j == n - 1 - i:
                 assert pairing != 0
             else:
@@ -288,7 +330,7 @@ def test_biorthogonal_adjust_with_unequal_mirror_pairings(herm2_table):
     x = find_isometry_vector(code_chain(table))
     assert x == (1,) * 8
     w = chain_matrix(table).data
-    mirror = [fld.dot(w[i], w[7 - i]) for i in range(8)]
+    mirror = [dot(fld, w[i], w[7 - i]) for i in range(8)]
     assert mirror == [3, 2, 2, 2, 2, 2, 2, 3]
     adjusted = biorthogonal_adjust(table, x).data
     gram = fld.matmul(adjusted, w.T)

@@ -12,7 +12,7 @@ from agb.errors import (AgbError, DivisionByZero, InvariantViolation,
                         UnsupportedField)
 from agb.gf import _digits, _is_irreducible
 
-from conftest import span_reference
+from conftest import dot, span_reference
 
 PINNED = {(2, 2): 7, (2, 3): 11, (2, 4): 19, (3, 2): 10}
 SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
@@ -131,7 +131,7 @@ def test_array_ops_match_scalar_ops():
         total = 0
         for a, b in zip(xs, ys):
             total = f.add(total, f.mul(int(a), int(b)))
-        assert f.dot(xs, ys) == total
+        assert dot(f, xs, ys) == total
 
 
 def test_sum_field_matches_scalar():

@@ -14,6 +14,7 @@ from agb.errors import (AgbError, BudgetExceeded, IndexOutOfRange,
                         InvalidSearchBudget)
 from agb.evalcode import chain_matrix
 from agb.oracle import gaussian_binomial
+from conftest import dot, star
 from test_gf import field_matrices
 
 
@@ -152,7 +153,7 @@ def test_dual_rank_nullity(herm2_table):
         fld = herm2_table.field
         for i in range(c.matrix.nrows):
             for j in range(D.nrows):
-                assert fld.dot(c.matrix.data[i], D.data[j]) == 0
+                assert dot(fld, c.matrix.data[i], D.data[j]) == 0
 
 
 def test_dual_of_full_space_is_zero():
@@ -187,7 +188,7 @@ def test_isometry_scaling_preserves_weight(herm2_table):
     rng = random.Random(1)
     for _ in range(100):
         v = np.array([rng.randrange(4) for _ in range(8)], dtype=np.int32)
-        assert int((fld.star(x, v) != 0).sum()) == int((v != 0).sum())
+        assert int((star(fld, x, v) != 0).sum()) == int((v != 0).sum())
 
 
 def test_isometry_maps_chain_to_mirror_duals(herm2_table):
@@ -197,7 +198,7 @@ def test_isometry_maps_chain_to_mirror_duals(herm2_table):
     x = np.array(find_isometry_vector(chain), dtype=np.int32)
     n = 8
     for i in range(0, n + 1):
-        scaled = np.stack([fld.star(x, basis[a]) for a in range(i)]) \
+        scaled = np.stack([star(fld, x, basis[a]) for a in range(i)]) \
             if i else np.zeros((0, n), dtype=np.int32)
         mirror = dual(FieldMatrix(fld, basis[: n - i])) if n - i else \
             FieldMatrix(fld, np.eye(n, dtype=np.int32))
@@ -216,8 +217,8 @@ def test_isometry_dual_transport(herm2_table):
     chain = CodeChain(fld, basis)
     x = np.array(find_isometry_vector(chain), dtype=np.int32)
     C = FieldMatrix(fld, basis[:3])
-    D = FieldMatrix(fld, np.stack([fld.star(x, row) for row in basis[:3]]))
-    lhs_rows = [fld.star(x, row) for row in dual(D).data]
+    D = FieldMatrix(fld, np.stack([star(fld, x, row) for row in basis[:3]]))
+    lhs_rows = [star(fld, x, row) for row in dual(D).data]
     lhs = rref(FieldMatrix(fld, np.stack(lhs_rows)))
     rhs = rref(dual(C))
     assert lhs.matrix.data[: lhs.rank].tolist() == \
