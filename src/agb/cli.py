@@ -13,7 +13,7 @@ import sys
 
 from . import bounds as bounds_mod
 from . import evalcode
-from .errors import AgbError, SchemaError, UnreadableFile
+from .errors import AgbError, SchemaError, UnreadableFile, _json_int
 from .hstar import HStar
 from .semigroup import NumericalSemigroup
 from .verify import run_verification
@@ -60,9 +60,9 @@ def _resolve_hstar(parser: argparse.ArgumentParser, args) -> HStar:
     try:
         with open(args.file, encoding="utf-8") as fh:
             obj = json.load(fh)
-        n = int(obj["n"])
-        payload = ([int(m) for m in obj["members"]] if mode == "explicit"
-                   else [int(x) for x in obj["ell"]])
+        n = _json_int(obj["n"], "n")
+        key = "members" if mode == "explicit" else "ell"
+        payload = [_json_int(v, key) for v in obj[key]]
     except OSError as exc:
         raise UnreadableFile(f"cannot read {args.file}: {exc.strerror}") from exc
     except (KeyError, TypeError, ValueError) as exc:

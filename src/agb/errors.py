@@ -2,6 +2,7 @@
 
 Every domain error raised by the library is a subclass of :class:`AgbError`,
 so callers (and the CLI) can catch one type and report the class name.
+The JSON readers check their integer fields with :func:`_json_int`.
 """
 
 
@@ -113,6 +114,16 @@ class UnsupportedParameter(AgbError):
 
 class SchemaError(AgbError):
     """Input file does not match the documented schema."""
+
+
+def _json_int(value, what: str) -> int:
+    """value itself if it is an int; a float, string or bool is a SchemaError.
+
+    A cast would truncate 8.9, parse "8" and read true as 1, so none is made.
+    """
+    if type(value) is not int:
+        raise SchemaError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 class UnreadableFile(AgbError):

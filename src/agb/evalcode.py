@@ -5,7 +5,7 @@ values of one function with that pole order at n fixed points.  Truncating the
 table at a budget m yields the generator matrix of the code at m; one ``rref``
 per table measures every dimension and so recovers the jump set empirically,
 with no curve machinery at runtime.  Built-in constructor: Hermitian curves
-for q0 = 2, 3.
+for q0 = 2, 3, 4.
 """
 
 import json
@@ -16,7 +16,7 @@ import numpy as np
 from . import bounds
 from .errors import (BudgetOutOfRange, InvariantViolation, NotIsometryDual,
                      SchemaError, UnreadableFile, UnsupportedParameter,
-                     UnwritableFile, ZeroPivot)
+                     UnwritableFile, ZeroPivot, _json_int)
 from .generic_bound import CodeChain
 from .gf import FieldMatrix, FiniteField, field, field_array, rref
 from .hstar import HStar
@@ -109,6 +109,10 @@ class OnePointCode(NamedTuple):
     dimension: int
 
 
+# q0 -> (p, k) of the field GF(q0^2) of each built-in Hermitian curve
+_HERMITIAN_FIELDS = {2: (2, 2), 3: (3, 2), 4: (2, 4)}
+
+
 def hermitian_table(q0: int) -> EvaluationTable:
     """Evaluation table of the Hermitian curve y^q0 + y = x^(q0+1) over GF(q0^2).
 
@@ -116,9 +120,9 @@ def hermitian_table(q0: int) -> EvaluationTable:
     functions are the monomials x^a y^b with 0 <= b < q0, one per pole order
     a*q0 + b*(q0+1) in the semigroup generated by q0 and q0+1.
     """
-    if q0 not in (2, 3):
-        raise UnsupportedParameter(f"q0 must be 2 or 3, got {q0}")
-    fld = field(q0, 2)
+    if q0 not in _HERMITIAN_FIELDS:
+        raise UnsupportedParameter(f"q0 must be 2, 3 or 4, got {q0}")
+    fld = field(*_HERMITIAN_FIELDS[q0])
     pts = []
     for x in fld.elements():
         rhs = fld.pow(x, q0 + 1)
@@ -258,10 +262,12 @@ def load_table(path) -> EvaluationTable:
     except ValueError as exc:
         raise UnreadableFile(f"cannot read {path}: not JSON ({exc})") from exc
     try:
-        fld = field(int(obj["field"]["p"]), int(obj["field"]["k"]))
-        n = int(obj["n"])
-        genus = int(obj["genus"])
-        gens = [int(g) for g in obj["semigroup_generators"]]
+        fld = field(_json_int(obj["field"]["p"], "p"),
+                    _json_int(obj["field"]["k"], "k"))
+        n = _json_int(obj["n"], "n")
+        genus = _json_int(obj["genus"], "genus")
+        gens = [_json_int(g, "semigroup_generators")
+                for g in obj["semigroup_generators"]]
         points = [str(p) for p in obj["points"]]
         functions = [(f["pole_order"], f["values"])
                      for f in obj["functions"]]

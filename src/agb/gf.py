@@ -1,95 +1,54 @@
 """Finite fields GF(p^k) of order q <= 256 and dense linear algebra over them.
 
 Elements are integers in [0, q) packing polynomial coefficients little-endian
-in base p.  Addition, negation and multiplication read q x q and length-q
-tables built once per field.  The vectorized variants cover whole numpy
-arrays so exhaustive searches stay cheap; they add by XOR in characteristic
-2, where that beats a table read.  :func:`rref`, a Gauss-Jordan pass whose
-loop runs over columns, is the one elimination: ranks, dual codes, code
-chains and measured dimensions are all read off it.
+in base p.  Each field is a set of numpy tables built once and read by every
+operation.  Addition and negation act digit by digit.  The product table
+comes from the digits of t^j * a, each row one shift and one reduction of
+t^k from the last; the modulus is the least monic one whose table has no
+zero divisors, which for a finite ring means a field.  ``inv`` and ``pow``
+read a q x (q-1) power table filled from the product table.  The vectorized
+variants cover whole numpy arrays so exhaustive searches stay cheap; they add
+by XOR in characteristic 2, where that beats a table read.  :func:`rref`, a
+Gauss-Jordan pass whose loop runs over columns, is the one elimination:
+ranks, dual codes, code chains and measured dimensions are all read off it.
 """
 
 import json
-from functools import lru_cache, partial, reduce
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (DivisionByZero, InvariantViolation, MatrixShapeMismatch,
                      SchemaError, UnreadableFile, UnsupportedField,
-                     UnwritableFile)
+                     UnwritableFile, _json_int)
 
 _SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
 _MAX_ORDER = 256
 
-# moduli pinned for reproducibility of every example and file
-_PINNED_MODULI = {
-    (2, 2): 7,    # t^2 + t + 1
-    (2, 3): 11,   # t^3 + t + 1
-    (2, 4): 19,   # t^4 + t + 1
-    (3, 2): 10,   # t^2 + 1
-}
 
+def _mul_table(p: int, k: int, modulus: int) -> np.ndarray:
+    """q x q product table of GF(p)[t] modulo the monic ``modulus`` of degree k.
 
-def _digits(x: int, p: int, width: int) -> list[int]:
-    out = []
-    for _ in range(width):
-        out.append(x % p)
-        x //= p
-    return out
-
-
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return out
-
-
-def _poly_rem(a: list[int], mod: list[int], p: int) -> list[int]:
-    a = list(a)
-    dm = len(mod) - 1
-    inv_lead = pow(mod[-1], -1, p)
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i]
-        if c:
-            f = (c * inv_lead) % p
-            for j, mj in enumerate(mod):
-                a[i - dm + j] = (a[i - dm + j] - f * mj) % p
-    return a[:dm]
-
-
-def _is_irreducible(poly: list[int], p: int) -> bool:
-    deg = len(poly) - 1
-    if deg == 1:
-        return True
-    for ddeg in range(1, deg // 2 + 1):
-        for c in range(p ** ddeg, 2 * p ** ddeg):
-            div = _digits(c, p, ddeg + 1)
-            if any(_poly_rem(poly, div, p)):
-                continue
-            return False
-    return True
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    Row j of ``shifted`` holds the digits of t^j * a for every a, each from
+    the row before by one shift up a place and one reduction of the digit
+    pushed out to t^k, which the modulus sets to minus its lower digits.
+    The product a * b is then the sum of b_j times row j, mod p.
+    """
+    place = p ** np.arange(k)
+    digits = np.arange(p ** k)[:, None] // place % p
+    lower = modulus // place % p
+    shifted = [digits]
+    for _ in range(k - 1):
+        prev = shifted[-1]
+        up = np.hstack([np.zeros_like(prev[:, :1]), prev[:, :-1]])
+        shifted.append((up - prev[:, -1:] * lower) % p)
+    prod = np.einsum("bj,jax->abx", digits, np.stack(shifted)) % p
+    return (prod @ place).astype(np.int32)
 
 
 class FiniteField:
-    """GF(p^k) with a fixed irreducible modulus and precomputed tables."""
+    """GF(p^k) with the least monic modulus that makes it a field."""
 
     def __init__(self, p: int, k: int):
         if p not in _SUPPORTED_PRIMES:
@@ -99,67 +58,24 @@ class FiniteField:
                 f"GF({p}^{k}) not supported: need k <= 4 and p^k <= {_MAX_ORDER}")
         self.p = p
         self.k = k
-        self.q = p ** k
-        self.modulus = self._find_modulus()
-        self._mod_coeffs = _digits(self.modulus, p, k + 1)
-        self._build_tables()
-
-    def _find_modulus(self) -> int:
-        pinned = _PINNED_MODULI.get((self.p, self.k))
-        if pinned is not None:
-            return pinned
-        for c in range(self.q, 2 * self.q):
-            if _is_irreducible(_digits(c, self.p, self.k + 1), self.p):
-                return c
-        raise UnsupportedField(
-            f"no irreducible modulus found for GF({self.p}^{self.k})"
-        )
-
-    def _mul_slow(self, a: int, b: int) -> int:
-        prod = _poly_mul(_digits(a, self.p, self.k), _digits(b, self.p, self.k),
-                         self.p)
-        rem = _poly_rem(prod, self._mod_coeffs, self.p)
-        out = 0
-        for c in reversed(rem):
-            out = out * self.p + c
-        return out
-
-    def _pow_slow(self, a: int, e: int) -> int:
-        out, base = 1, a
-        while e:
-            if e & 1:
-                out = self._mul_slow(out, base)
-            base = self._mul_slow(base, base)
-            e >>= 1
-        return out
-
-    def _build_tables(self) -> None:
-        q, p = self.q, self.p
-        factors = _prime_factors(q - 1) if q > 2 else []
-        gen = None
-        for cand in range(1, q):
-            if q == 2 or all(self._pow_slow(cand, (q - 1) // f) != 1
-                             for f in factors):
-                gen = cand
+        self.q = q = p ** k
+        # a finite ring without zero divisors is a field, so the first
+        # candidate whose table has none is the least irreducible modulus;
+        # one of every degree exists, so the loop always breaks
+        for modulus in range(q, 2 * q):
+            self._mul = _mul_table(p, k, modulus)
+            if self._mul[1:, 1:].all():
                 break
-        exp = [1] * (q - 1)
-        for i in range(1, q - 1):
-            exp[i] = self._mul_slow(exp[i - 1], gen)
-        log = [0] * q
-        for i, v in enumerate(exp):
-            log[v] = i
-        self.generator = gen
-        self._exp = exp
-        self._log = log
-        logs = np.array(log[1:])
-        self._mul = np.zeros((q, q), dtype=np.int32)
-        self._mul[1:, 1:] = np.array(exp, dtype=np.int32)[
-            (logs[:, None] + logs[None, :]) % (q - 1)]
-        place = p ** np.arange(self.k)
+        self.modulus = modulus
+        place = p ** np.arange(k)
         digits = np.arange(q)[:, None] // place % p
         self._add = ((digits[:, None, :] + digits[None, :, :]) % p
                      @ place).astype(np.int32)
         self._neg = ((-digits) % p @ place).astype(np.int32)
+        # _pow[a, e] = a^e for e < q - 1, a column at a time
+        self._pow = np.ones((q, q - 1), dtype=np.int32)
+        for e in range(1, q - 1):
+            self._pow[:, e] = self._mul[self._pow[:, e - 1], np.arange(q)]
 
     def _gather(self, table: np.ndarray, x, y) -> np.ndarray:
         """table[x, y] with broadcasting, through one flat index."""
@@ -179,10 +95,7 @@ class FiniteField:
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("zero has no multiplicative inverse")
-        return self._exp[(-self._log[a]) % (self.q - 1)]
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
+        return self.pow(a, -1)
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
@@ -191,7 +104,7 @@ class FiniteField:
             if e < 0:
                 raise DivisionByZero("zero to a negative power")
             return 0
-        return self._exp[(self._log[a] * e) % (self.q - 1)]
+        return int(self._pow[a, e % (self.q - 1)])
 
     def elements(self) -> range:
         return range(self.q)
@@ -218,17 +131,6 @@ class FiniteField:
     def scale_array(self, lam: int, x):
         """lam times each entry of x."""
         return self._mul[lam][np.asarray(x, dtype=np.int32)]
-
-    def sum_field(self, x, axis=None):
-        """Field sum of an array along an axis."""
-        x = np.asarray(x, dtype=np.int32)
-        if self.p == 2:
-            return np.bitwise_xor.reduce(x, axis=axis)
-        if axis is None:
-            x, axis = x.reshape(-1), 0
-        planes = np.moveaxis(x, axis, 0)
-        return reduce(partial(self._gather, self._add), planes,
-                      np.zeros(planes.shape[1:], dtype=np.int32))
 
     def matmul(self, a, b):
         """Field matrix product of 2-D arrays (r x k) @ (k x n)."""
@@ -329,22 +231,22 @@ class FieldMatrix:
     def from_json(cls, obj: dict) -> "FieldMatrix":
         """Inverse of :meth:`to_json`; ``data`` is a flat list of entries."""
         try:
-            p, k = int(obj["p"]), int(obj["k"])
-            shape = (int(obj["rows"]), int(obj["cols"]))
+            p, k, rows, cols = (_json_int(obj[key], key)
+                                for key in ("p", "k", "rows", "cols"))
             data = obj["data"]
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed matrix: {exc!r}") from exc
         fld = field(p, k)
-        if min(shape) < 0:
-            raise SchemaError(f"negative matrix shape {shape[0]}x{shape[1]}")
+        if min(rows, cols) < 0:
+            raise SchemaError(f"negative matrix shape {rows}x{cols}")
         if not isinstance(data, list) or any(
                 type(v) is not int or not 0 <= v < fld.q for v in data):
             raise SchemaError(
                 f"matrix data must be a flat list of integers in [0, {fld.q})")
-        if len(data) != shape[0] * shape[1]:
+        if len(data) != rows * cols:
             raise MatrixShapeMismatch(
-                f"{len(data)} entries do not fill {shape[0]}x{shape[1]}")
-        return cls(fld, np.array(data, dtype=np.int32).reshape(shape))
+                f"{len(data)} entries do not fill {rows}x{cols}")
+        return cls(fld, np.array(data, dtype=np.int32).reshape(rows, cols))
 
 
 class RowReduction(NamedTuple):

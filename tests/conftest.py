@@ -82,13 +82,15 @@ def span_reference(fld, rows):
     assert fld.q ** k <= 4096
     coefs = np.array(list(product(range(fld.q), repeat=k)),
                      dtype=np.int32).reshape(fld.q ** k, k)
-    words = fld.sum_field(fld.mul_arrays(coefs[:, :, None], rows[None]), axis=1)
+    terms = fld.mul_arrays(coefs[:, :, None], rows[None])
+    words = reduce(fld.add_arrays, np.moveaxis(terms, 1, 0),
+                   np.zeros((fld.q ** k, rows.shape[1]), dtype=np.int32))
     return {tuple(int(v) for v in word) for word in words}
 
 
 def dot(fld, u, v) -> int:
     """Field inner product of two equal-length vectors."""
-    return int(fld.sum_field(fld.mul_arrays(u, v)))
+    return reduce(fld.add, (int(x) for x in fld.mul_arrays(u, v)), 0)
 
 
 def star(fld, u, v):
@@ -148,6 +150,11 @@ def herm2_table():
 @pytest.fixture(scope="session")
 def herm3_table():
     return hermitian_table(3)
+
+
+@pytest.fixture(scope="session")
+def herm4_table():
+    return hermitian_table(4)
 
 
 @pytest.fixture(scope="session")

@@ -246,6 +246,28 @@ def test_hstar_explicit_invalid_members_exit_1(capsys, tmp_path):
     assert err.startswith("NotSubsetOfH")
 
 
+# int() would read 8.9 as 8, "8" as 8 and true as 1, so each is refused
+@pytest.mark.parametrize("bad", [8.9, "8", True],
+                         ids=["float", "numeric-string", "bool"])
+@pytest.mark.parametrize("mode, key", [("explicit", "n"),
+                                       ("explicit", "members"),
+                                       ("abundance", "ell")])
+def test_hstar_file_integer_fields_are_checked_not_cast(capsys, tmp_path,
+                                                        mode, key, bad):
+    obj = ({"n": 8, "members": [0, 2, 3, 4, 5, 6, 7, 9]} if mode == "explicit"
+           else {"n": 8, "ell": [0] * 8 + [1, 1]})
+    if key == "n":
+        obj["n"] = bad
+    else:
+        obj[key][-1] = bad
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(obj))
+    code, _, err = run(capsys, ["hstar", "--gens", "2,3",
+                                "--mode", mode, "--file", str(f)])
+    assert code == 1
+    assert err.startswith("SchemaError: ")
+
+
 def test_ghw_node_cap_exit_1(capsys):
     code, _, err = run(capsys, ["ghw", "--gens", "8,10,12,13", "--n", "64",
                                 "--mode", "equiv-divisor",
@@ -265,6 +287,18 @@ def test_verify_hermitian_2(capsys):
     assert "isometry-witness" in names
     assert any(n.startswith("ghw-") for n in names)
     assert any(n.startswith("improved-") for n in names)
+
+
+def test_verify_hermitian_4_passes_every_record(capsys):
+    code, out, _ = run(capsys, ["verify", "hermitian", "--q0", "4",
+                                "--max-dim", "6", "--json"])
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert len(checks) == 51
+    assert all(c["ok"] for c in checks)
+    names = [c["name"] for c in checks]
+    assert "isometry-witness" in names
+    assert "biorthogonal-adjust" in names
 
 
 def test_verify_text_mode(capsys):

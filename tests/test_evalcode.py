@@ -37,8 +37,17 @@ def test_hermitian_q0_3_shape(herm3_table):
     assert len(t.functions) == 30
 
 
-def test_hermitian_points_satisfy_curve(herm2_table, herm3_table):
-    for q0, t in ((2, herm2_table), (3, herm3_table)):
+def test_hermitian_q0_4_shape(herm4_table):
+    t = herm4_table
+    assert t.n == 64
+    assert t.genus == 6
+    assert (t.field.p, t.field.k) == (2, 4)
+    assert t.semigroup.generators == (4, 5)
+    assert list(t.functions[0].values) == [1] * 64
+
+
+def test_hermitian_points_satisfy_curve(herm2_table, herm3_table, herm4_table):
+    for q0, t in ((2, herm2_table), (3, herm3_table), (4, herm4_table)):
         f = t.field
         xrow = t.row_for_pole(q0)       # the function x
         yrow = t.row_for_pole(q0 + 1)   # the function y
@@ -47,8 +56,9 @@ def test_hermitian_points_satisfy_curve(herm2_table, herm3_table):
 
 
 def test_hermitian_unsupported_parameter():
-    with pytest.raises(UnsupportedParameter):
-        hermitian_table(4)
+    for q0 in (1, 5, 9):
+        with pytest.raises(UnsupportedParameter):
+            hermitian_table(q0)
 
 
 def test_code_dimensions(herm2_table):
@@ -94,13 +104,17 @@ def test_code_works_on_a_chain_that_is_not_a_jump_set():
         empirical_hstar(table)
 
 
-def test_empirical_hstar(herm2_table, herm3_table):
+def test_empirical_hstar(herm2_table, herm3_table, herm4_table):
     hs2 = empirical_hstar(herm2_table)
     assert hs2.members == (0, 2, 3, 4, 5, 6, 7, 9)
     hs3 = empirical_hstar(herm3_table)
     assert hs3 == HStar.from_equiv_divisor(herm3_table.semigroup, 27)
+    hs4 = empirical_hstar(herm4_table)
+    assert hs4 == HStar.from_equiv_divisor(
+        NumericalSemigroup.from_generators([4, 5]), 64)
+    assert hs4.is_isometry_dual()
     # re-validation through the explicit constructor must succeed
-    for hs in (hs2, hs3):
+    for hs in (hs2, hs3, hs4):
         assert HStar.from_explicit(hs.semigroup, hs.n, hs.members) == hs
 
 
@@ -224,6 +238,27 @@ def test_table_rejects_a_row_of_wrong_length():
     rows = [(0, [1, 1, 1]), (1, [0, 1]), (2, [0, 1, 3])]
     with pytest.raises(InvariantViolation, match="wrong length"):
         EvaluationTable(field(2, 2), ["P0", "P1", "P2"], rows, S)
+
+
+# int() would read 8.5 as 8, "8" as 8 and true as 1, so each is refused
+@pytest.mark.parametrize("bad", [lambda v: v + 0.5, str, lambda v: True],
+                         ids=["float", "numeric-string", "bool"])
+@pytest.mark.parametrize("path", [("field", "p"), ("field", "k"), ("n",),
+                                  ("genus",), ("semigroup_generators", 1)],
+                         ids=["p", "k", "n", "genus", "semigroup_generators"])
+def test_load_table_integer_fields_are_checked_not_cast(tmp_path, herm2_table,
+                                                        path, bad):
+    target = tmp_path / "h2.json"
+    save_table(herm2_table, target)
+    obj = json.loads(target.read_text())
+    *outer, last = path
+    holder = obj
+    for key in outer:
+        holder = holder[key]
+    holder[last] = bad(holder[last])
+    target.write_text(json.dumps(obj))
+    with pytest.raises(SchemaError):
+        load_table(target)
 
 
 def test_load_table_schema_error(tmp_path):

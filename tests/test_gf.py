@@ -10,18 +10,59 @@ from agb import FieldMatrix, dual, field, rref
 from agb.errors import (AgbError, DivisionByZero, InvariantViolation,
                         MatrixShapeMismatch, SchemaError, UnreadableFile,
                         UnsupportedField)
-from agb.gf import _digits, _is_irreducible
 
 from conftest import dot, span_reference
 
-PINNED = {(2, 2): 7, (2, 3): 11, (2, 4): 19, (3, 2): 10}
+PINNED = {(2, 1): 2, (2, 2): 7, (2, 3): 11, (2, 4): 19,
+          (3, 1): 3, (3, 2): 10, (3, 3): 34, (3, 4): 86,
+          (5, 1): 5, (5, 2): 27, (5, 3): 131, (7, 1): 7, (7, 2): 50,
+          (11, 1): 11, (11, 2): 122, (13, 1): 13, (13, 2): 171}
 SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
                 (11, 1), (13, 1), (2, 4)]
 SUPPORTED_FIELDS = [(p, k) for p in (2, 3, 5, 7, 11, 13) for k in range(1, 5)
                     if p ** k <= 256]
 
 
+# Plain-Python references for the field tables.  They work on coefficient
+# lists, lowest degree first, and share no code with the library's tables.
+
+def coeffs(x, p, width):
+    """The base-p digits of x, lowest first: its polynomial's coefficients."""
+    return [x // p ** i % p for i in range(width)]
+
+
+def poly_product(a, b, p):
+    """Schoolbook product of two coefficient lists over GF(p)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    return out
+
+
+def reference_mul(x, y, p, k, modulus):
+    """x * y in GF(p)[t] / (modulus): the product, then long division."""
+    rem = poly_product(coeffs(x, p, k), coeffs(y, p, k), p)
+    mod = coeffs(modulus, p, k + 1)
+    for top in range(len(rem) - 1, k - 1, -1):
+        lead = rem[top]
+        for j, mj in enumerate(mod):
+            rem[top - k + j] = (rem[top - k + j] - lead * mj) % p
+    return sum(c * p ** i for i, c in enumerate(rem[:k]))
+
+
+def is_irreducible(modulus, p, k):
+    """No monic factor of degree d <= k/2 times a monic cofactor gives it."""
+    target = coeffs(modulus, p, k + 1)
+    return not any(
+        poly_product(coeffs(f, p, d + 1), coeffs(g, p, k - d + 1), p) == target
+        for d in range(1, k // 2 + 1)
+        for f in range(p ** d, 2 * p ** d)
+        for g in range(p ** (k - d), 2 * p ** (k - d)))
+
+
 def test_pinned_moduli():
+    assert sorted(PINNED) == sorted(SUPPORTED_FIELDS)
     for (p, k), mod in PINNED.items():
         assert field(p, k).modulus == mod
 
@@ -30,9 +71,9 @@ def test_pinned_moduli_are_minimal_irreducible():
     # the pinned choice must coincide with the smallest monic irreducible
     for (p, k), mod in PINNED.items():
         q = p ** k
-        assert _is_irreducible(_digits(mod, p, k + 1), p)
+        assert is_irreducible(mod, p, k)
         for c in range(q, mod):
-            assert not _is_irreducible(_digits(c, p, k + 1), p)
+            assert not is_irreducible(c, p, k)
 
 
 def test_gf4_multiplication():
@@ -64,13 +105,13 @@ def test_tables_match_digit_sums_and_polynomial_products(p, k):
     multiplied = f.mul_arrays(a[:, None], a[None, :])
     negated = f.neg_arrays(a)
     place = [p ** i for i in range(k)]
-    digits = [_digits(x, p, k) for x in range(q)]
+    digits = [coeffs(x, p, k) for x in range(q)]
     for x in range(q):
         assert negated[x] == sum((-d) % p * w for d, w in zip(digits[x], place))
         for y in range(q):
             assert added[x, y] == sum((dx + dy) % p * w for dx, dy, w
                                       in zip(digits[x], digits[y], place))
-            assert multiplied[x, y] == f._mul_slow(x, y)
+            assert multiplied[x, y] == reference_mul(x, y, p, k, PINNED[p, k])
 
 
 def test_division_by_zero():
@@ -106,15 +147,31 @@ def test_field_axioms_exhaustive(p, k):
                 assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
 
 
-def test_generator_has_full_order():
-    for p, k in SMALL_FIELDS:
-        f = field(p, k)
-        seen = set()
-        x = 1
-        for _ in range(f.q - 1):
-            seen.add(x)
-            x = f.mul(x, f.generator)
-        assert len(seen) == f.q - 1
+@pytest.mark.parametrize("p,k", SMALL_FIELDS)
+def test_pow_and_inv_match_repeated_mul(p, k):
+    f = field(p, k)
+    q = f.q
+    for a in range(1, q):
+        power = [1]                      # power[e] = a^e by repeated mul
+        for _ in range(2 * q):
+            power.append(f.mul(power[-1], a))
+        for e in range(-2 * q, 2 * q):
+            if e >= 0:
+                assert f.pow(a, e) == power[e]
+            else:
+                assert f.mul(f.pow(a, e), power[-e]) == 1
+        for e in range(0, 2 * q, q - 1):  # e = 0 mod q - 1
+            assert f.pow(a, e) == 1
+        assert f.mul(a, f.inv(a)) == 1
+        assert f.inv(a) == f.pow(a, -1)
+    assert f.pow(0, 0) == 1
+    for e in range(1, 2 * q):
+        assert f.pow(0, e) == 0
+    for e in range(-2 * q, 0):
+        with pytest.raises(DivisionByZero):
+            f.pow(0, e)
+    with pytest.raises(DivisionByZero):
+        f.inv(0)
 
 
 def test_array_ops_match_scalar_ops():
@@ -132,24 +189,6 @@ def test_array_ops_match_scalar_ops():
         for a, b in zip(xs, ys):
             total = f.add(total, f.mul(int(a), int(b)))
         assert dot(f, xs, ys) == total
-
-
-def test_sum_field_matches_scalar():
-    rng = random.Random(11)
-    for p, k in ((2, 2), (3, 2), (3, 1), (5, 2), (3, 3), (13, 2)):
-        f = field(p, k)
-        xs = np.array([rng.randrange(f.q) for _ in range(25)], dtype=np.int32)
-        acc = 0
-        for a in xs:
-            acc = f.add(acc, int(a))
-        assert int(f.sum_field(xs)) == acc
-        grid = xs[:24].reshape(4, 6)
-        for axis in (0, 1):
-            planes = np.moveaxis(grid, axis, 0)
-            expect = [0] * planes.shape[1]
-            for plane in planes:
-                expect = [f.add(e, int(v)) for e, v in zip(expect, plane)]
-            assert list(f.sum_field(grid, axis=axis)) == expect
 
 
 def test_matmul_matches_naive():
@@ -326,7 +365,19 @@ def test_load_matrix_malformed_is_schema_error(tmp_path, change):
         load_matrix(path)
 
 
+# int() would read 2.5 as 2, "2" as 2 and true as 1, so each is refused
+@pytest.mark.parametrize("bad", [lambda v: v + 0.5, str, lambda v: True],
+                         ids=["float", "numeric-string", "bool"])
+@pytest.mark.parametrize("key", ["p", "k", "rows", "cols"])
+def test_matrix_from_json_integer_fields_are_checked_not_cast(key, bad):
+    obj = {"p": 2, "k": 2, "rows": 1, "cols": 2, "data": [1, 3]}
+    obj[key] = bad(obj[key])
+    with pytest.raises(SchemaError):
+        FieldMatrix.from_json(obj)
+
+
 def test_large_field_construction():
     f = field(13, 2)
     assert f.q == 169
-    assert f.mul(f.generator, f.inv(f.generator)) == 1
+    for x in range(1, f.q):
+        assert f.mul(x, f.inv(x)) == 1
