@@ -156,33 +156,29 @@ def a_set(S: NumericalSemigroup, h: int) -> frozenset:
     return frozenset(int(t) for t in np.nonzero(both)[0])
 
 
-@lru_cache(maxsize=1 << 17)
-def _a_count(S: NumericalSemigroup, h: int) -> int:
-    # From h >= 2c - 1 on, t and h - t are never both gaps, so each of the g
-    # gaps removes exactly one t from [0, h] and one h - t.
-    if h >= 2 * S.conductor - 1:
-        return h + 1 - 2 * S.genus
-    mask = S.membership_mask(h)
-    return int((mask & mask[::-1]).sum())
-
-
 def a_counts_by_index(hs: HStar) -> np.ndarray:
-    """Vector of A-set cardinalities at each jump value m_1 .. m_n."""
+    """Vector of A-set cardinalities at each jump value m_1 .. m_n.
+
+    Of the h + 1 splits t + (h - t), each gap removes one as t and one as
+    h - t, and a split into two gaps was removed twice, so #A(h) = h + 1 -
+    2 #{gaps <= h} + #{(l, l') gaps : l + l' = h}: the A-set twin of the
+    shifted-gap identity.  The pairs are one self-convolution of the gap
+    indicator, zero from h = 2c - 1 on.
+    """
     S = hs.semigroup
-    members = hs.members_array()
-    counts = members + 1 - 2 * S.genus
-    low = members < 2 * S.conductor - 1
-    counts[low] = [_a_count(S, int(h)) for h in members[low]]
-    return counts
+    c = S.conductor
+    gap = (~S.membership_mask(c)[: c + 1]).astype(np.int64)
+    below = np.cumsum(gap)        # #{gaps <= h} at h = 0 .. c, then g
+    pairs = np.convolve(gap, gap)  # gap pairs summing to h = 0 .. 2c
+    h = hs.members_array()
+    return h + 1 - 2 * below[np.minimum(h, c)] + pairs[np.minimum(h, 2 * c)]
 
 
 def d_ord(hs: HStar, i: int) -> int:
-    """Dual-side order bound, reduced to A-set sizes at reflected indices."""
+    """Dual-side order bound: the least A-set size at indices n-i+1 .. n."""
     _check_index(hs, i)
     _require_isometry_dual(hs)
-    S = hs.semigroup
-    n = hs.n
-    return min(_a_count(S, hs.members[n - r]) for r in range(1, i + 1))
+    return int(a_counts_by_index(hs)[hs.n - i:].min())
 
 
 class LSetCheck(NamedTuple):

@@ -155,13 +155,14 @@ class DependentInput(AgbError):
 # -- oracle ------------------------------------------------------------------
 
 class InvalidSearchBudget(AgbError, ValueError):
-    """A search budget, given or read from AGB_BUDGET_*, is not a positive integer."""
+    """A search budget, given or read from AGB_BUDGET_SUBSPACES, is not a
+    positive integer."""
 
 
 class BudgetExceeded(AgbError):
     """Exhaustive search would exceed the configured budget."""
 
-    def __init__(self, required: int, budget: int, kind: str = "codewords"):
+    def __init__(self, required: int, budget: int, kind: str = "subspaces"):
         super().__init__(
             f"search needs {required} {kind}, over the budget of {budget}"
         )

@@ -3,9 +3,9 @@
 An :class:`EvaluationTable` holds, for every pole order up to n+2g-1, the
 values of one function with that pole order at n fixed points.  Truncating the
 table at a budget m yields the generator matrix of the code at m; one ``rref``
-per table measures every dimension and so recovers the jump set empirically,
-with no curve machinery at runtime.  Built-in constructor: Hermitian curves
-for q0 = 2, 3, 4.
+per table finds the chain rows, measures every dimension and so recovers the
+jump set empirically, with no curve machinery at runtime.  Built-in
+constructor: Hermitian curves for q0 = 2, 3, 4.
 """
 
 import json
@@ -44,7 +44,8 @@ class EvaluationTable:
     integer in [0, q), checked before the int32 cast.
     """
 
-    __slots__ = ("field", "points", "functions", "semigroup", "_dims")
+    __slots__ = ("field", "points", "functions", "semigroup", "_pivots",
+                 "_hstar")
 
     def __init__(self, fld: FiniteField, points, functions,
                  semigroup: NumericalSemigroup):
@@ -55,7 +56,7 @@ class EvaluationTable:
             for po, vals in functions
         )
         self.semigroup = semigroup
-        self._dims = None
+        self._pivots = self._hstar = None
         self._check()
 
     @property
@@ -94,12 +95,6 @@ class EvaluationTable:
         if not rows:
             return np.zeros((0, self.n), dtype=np.int32)
         return np.stack(rows)
-
-    def row_for_pole(self, pole: int) -> np.ndarray:
-        for f in self.functions:
-            if f.pole_order == pole:
-                return f.values
-        raise KeyError(f"no function with pole order {pole}")
 
 
 class OnePointCode(NamedTuple):
@@ -152,34 +147,36 @@ def code(table: EvaluationTable, m: int) -> OnePointCode:
     return OnePointCode(table, m, mat, measured_dimensions(table)[m])
 
 
-def measured_dimensions(table: EvaluationTable) -> list[int]:
-    """Measured code dimension at every budget m = 0 .. n+2g-1.
-
-    Row j of the table raises the rank exactly when column j of its
-    transpose is a pivot, so one ``rref`` of the transpose gives every rank;
-    the dimensions are their running sum over pole orders.  Run on first use
-    and kept on the table: the table never changes, so neither do its ranks.
-    """
-    if table._dims is None:
+def _chain_pivots(table: EvaluationTable) -> list[int]:
+    """Indices of the chain rows, those that raise the rank: the pivots of
+    one ``rref`` of the transpose, kept on the table, which never changes."""
+    if table._pivots is None:
         rows = table.rows_up_to(table.top_order)
-        pivots = list(rref(FieldMatrix(table.field, rows.T)).pivots)
-        poles = np.array([f.pole_order for f in table.functions])
-        raised = np.zeros(table.top_order + 1, dtype=np.int64)
-        raised[poles[pivots]] = 1
-        table._dims = tuple(int(d) for d in np.cumsum(raised))
-    return list(table._dims)
+        table._pivots = list(rref(FieldMatrix(table.field, rows.T)).pivots)
+    return table._pivots
+
+
+def measured_dimensions(table: EvaluationTable) -> list[int]:
+    """Measured code dimension at every budget m = 0 .. n+2g-1: the number
+    of chain rows with pole order <= m."""
+    jumps = [table.functions[j].pole_order for j in _chain_pivots(table)]
+    return np.searchsorted(jumps, range(table.top_order + 1), "right").tolist()
 
 
 def empirical_hstar(table: EvaluationTable) -> HStar:
-    """Jump set read off the measured dimension chain."""
-    return HStar.from_dimension_chain(measured_dimensions(table), table.semigroup)
+    """Jump set read off the measured dimension chain; kept on the table once
+    valid, so a malformed chain raises MalformedChain on every call."""
+    if table._hstar is None:
+        table._hstar = HStar.from_dimension_chain(measured_dimensions(table),
+                                                  table.semigroup)
+    return table._hstar
 
 
 def chain_matrix(table: EvaluationTable) -> FieldMatrix:
-    """The n rows at the empirical jump pole orders, in chain order."""
-    hs = empirical_hstar(table)
-    rows = [table.row_for_pole(m) for m in hs.members]
-    return FieldMatrix(table.field, np.stack(rows))
+    """The n chain rows, those at the empirical jump pole orders, in order."""
+    empirical_hstar(table)   # a malformed chain raises here
+    rows = table.rows_up_to(table.top_order)
+    return FieldMatrix(table.field, rows[_chain_pivots(table)])
 
 
 def improved_generators(table: EvaluationTable, delta: int,
@@ -194,7 +191,7 @@ def improved_generators(table: EvaluationTable, delta: int,
     indices = bounds.improved_profile(empirical_hstar(table), delta).indices
     chain = (biorthogonal_adjust(table, adjust) if adjust is not None
              else chain_matrix(table))
-    return FieldMatrix(table.field, chain.data[[i - 1 for i in indices]])
+    return chain[[i - 1 for i in indices]]
 
 
 def biorthogonal_adjust(table: EvaluationTable, x) -> FieldMatrix:
@@ -268,7 +265,9 @@ def load_table(path) -> EvaluationTable:
         genus = _json_int(obj["genus"], "genus")
         gens = [_json_int(g, "semigroup_generators")
                 for g in obj["semigroup_generators"]]
-        points = [str(p) for p in obj["points"]]
+        points = obj["points"]  # a cast would load 1.5 and null as strings
+        if not all(isinstance(p, str) for p in points):
+            raise SchemaError("every point must be a string")
         functions = [(f["pole_order"], f["values"])
                      for f in obj["functions"]]
     except (KeyError, TypeError, ValueError) as exc:

@@ -204,6 +204,9 @@ class FieldMatrix:
     def ncols(self) -> int:
         return self.data.shape[1]
 
+    def __getitem__(self, rows) -> "FieldMatrix":
+        return FieldMatrix(self.field, self.data[rows])
+
     def transpose(self) -> "FieldMatrix":
         return FieldMatrix(self.field, self.data.T.copy())
 

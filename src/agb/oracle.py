@@ -23,40 +23,33 @@ _COMB_CAP = 10 ** 6  # witness candidates tried before giving up
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Caps on exhaustive-search size; exceeding one raises BudgetExceeded.
+    """Cap on the subspaces one exhaustive search lists; over it, BudgetExceeded.
 
-    ``max_codewords`` caps q^k, not the (q^k - 1)/(q - 1) monic codewords
-    :func:`min_distance` lists: `agb verify` derives its records from this
-    default, so counting monic words would change which records a run emits.
+    A search of a k-dimensional code at rank r lists gaussian_binomial(k, r, q)
+    subcodes, at r = 1 the (q^k - 1)/(q - 1) monic codewords.  :meth:`fits`
+    is the one test against the cap, for the search and ``agb verify`` alike.
     """
 
-    max_codewords: int = 1 << 26
     max_subspaces: int = 10 ** 7
 
     def __post_init__(self):
-        if self.max_codewords < 1 or self.max_subspaces < 1:
-            raise InvalidSearchBudget("budgets must be positive")
+        if self.max_subspaces < 1:
+            raise InvalidSearchBudget("the budget must be positive")
+
+    def fits(self, k: int, r: int, q: int) -> bool:
+        """Whether a k-dimensional code over GF(q) can be searched at rank r."""
+        return gaussian_binomial(k, r, q) <= self.max_subspaces
 
     @classmethod
     def from_env(cls) -> "SearchBudget":
-        """Defaults overridable via AGB_BUDGET_CODEWORDS / AGB_BUDGET_SUBSPACES."""
-        kw = {}
-        for key, var in (("max_codewords", "AGB_BUDGET_CODEWORDS"),
-                         ("max_subspaces", "AGB_BUDGET_SUBSPACES")):
-            text = os.environ.get(var)
-            if not text:
-                continue
-            try:
-                kw[key] = int(text)
-            except ValueError:
-                raise InvalidSearchBudget(
-                    f"{var}={text!r} is not an integer") from None
-        return cls(**kw)
-
-
-def _independent_rows(M: FieldMatrix) -> np.ndarray:
-    red = rref(M)
-    return red.matrix.data[: red.rank]
+        """The default cap, overridable via AGB_BUDGET_SUBSPACES."""
+        text = os.environ.get("AGB_BUDGET_SUBSPACES") or str(cls.max_subspaces)
+        try:
+            cap = int(text)
+        except ValueError:
+            raise InvalidSearchBudget(
+                f"AGB_BUDGET_SUBSPACES={text!r} is not an integer") from None
+        return cls(cap)
 
 
 def _least_support(fld: FiniteField, rows: np.ndarray, r: int) -> int:
@@ -96,21 +89,9 @@ def _least_support(fld: FiniteField, rows: np.ndarray, r: int) -> int:
 
 
 def min_distance(M: FieldMatrix, budget: SearchBudget | None = None) -> int:
-    """Exact minimum weight over the nonzero codewords of the row space of M.
-
-    The r = 1 case of the subspace search, over the (q^k - 1)/(q - 1) monic
-    codewords; the budget still caps q^k (see :class:`SearchBudget`).
-    """
-    budget = budget or SearchBudget()
-    rows = _independent_rows(M)
-    k = rows.shape[0]
-    if k == 0:
-        # min_distance is the weight at r = 1, which needs dimension >= 1
-        raise IndexOutOfRange("the zero code has no minimum distance")
-    total = M.field.q ** k
-    if total > budget.max_codewords:
-        raise BudgetExceeded(total, budget.max_codewords, "codewords")
-    return _least_support(M.field, rows, 1)
+    """Exact minimum weight over the nonzero codewords of the row space of M:
+    the r = 1 case of the subspace search, over the monic codewords."""
+    return _search(M, 1, budget)
 
 
 def gaussian_binomial(k: int, r: int, q: int) -> int:
@@ -129,15 +110,20 @@ def weight_hierarchy(M: FieldMatrix, r: int,
     The least number of columns not identically zero on a basis of an
     r-dimensional subcode, over all gaussian_binomial(k, r, q) subcodes.
     """
+    return _search(M, r, budget)
+
+
+def _search(M: FieldMatrix, r: int, budget: SearchBudget | None) -> int:
+    """The one entry of both searches: reduce the rows of M once, check the
+    budget, then list the r-dimensional subcodes."""
     budget = budget or SearchBudget()
-    rows = _independent_rows(M)
-    k = rows.shape[0]
+    red = rref(M)
+    k, q = red.rank, M.field.q
     if not 1 <= r <= k:
         raise IndexOutOfRange(f"need 1 <= r <= dim = {k}, got r={r}")
-    count = gaussian_binomial(k, r, M.field.q)
-    if count > budget.max_subspaces:
-        raise BudgetExceeded(count, budget.max_subspaces, "subspaces")
-    return _least_support(M.field, rows, r)
+    if not budget.fits(k, r, q):
+        raise BudgetExceeded(gaussian_binomial(k, r, q), budget.max_subspaces)
+    return _least_support(M.field, red.matrix.data[:k], r)
 
 
 def dual(M: FieldMatrix) -> FieldMatrix:

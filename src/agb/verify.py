@@ -1,6 +1,6 @@
 """Brute-force cross-validation of every bound on a concrete evaluation table."""
 
-from . import bounds, evalcode, gf, oracle
+from . import bounds, evalcode, oracle
 from .errors import AgbError
 from .hstar import HStar
 
@@ -12,9 +12,12 @@ def run_verification(table: evalcode.EvaluationTable, max_dim: int | None = None
 
     The bounds are d*, the generic bound and the Goppa bound along the code
     chain, the GHW bounds up to ``ghw_r``, and the designed distance of each
-    improved code.  Returns one record per inequality checked.  Records that check the same
-    row space share one exhaustive search: true distances are kept under the
-    nonzero rows of the reduced echelon form of the matrix each record checks.
+    improved code.  Returns one record per inequality checked.
+
+    Every code checked is a set of chain rows in chain order (the first k
+    for the chain code of dimension k), and true distances are kept under
+    those rows as given: records that check the same index set, and so the
+    same row space, share one exhaustive search.
     """
     budget = budget or oracle.SearchBudget.from_env()
     checks = []
@@ -24,8 +27,7 @@ def run_verification(table: evalcode.EvaluationTable, max_dim: int | None = None
         checks.append({"name": name, "ok": bool(ok), "detail": detail})
 
     def true_distance(M):
-        red = gf.rref(M)
-        key = red.matrix.data[: red.rank].tobytes()
+        key = M.data.tobytes()
         if key not in distances:
             distances[key] = oracle.min_distance(M, budget)
         return distances[key]
@@ -35,17 +37,19 @@ def run_verification(table: evalcode.EvaluationTable, max_dim: int | None = None
     record("hstar-matches-construction", hs == ref,
            f"measured jumps {list(hs.members)}")
 
+    rows = evalcode.chain_matrix(table)
     chain = evalcode.code_chain(table)
     profile = bounds.lambda_profile(hs)
     q = table.field.q
     cap_dim = max_dim if max_dim is not None else table.n
 
-    for m in range(table.top_order + 1):
-        c = evalcode.code(table, m)
-        dim = c.dimension
-        if dim == 0 or dim > cap_dim or q ** dim > budget.max_codewords:
+    def searchable(dim, r=1):
+        return 0 < dim <= cap_dim and budget.fits(dim, r, q)
+
+    for m, dim in enumerate(evalcode.measured_dimensions(table)):
+        if not searchable(dim):
             continue
-        d_true = true_distance(c.matrix)
+        d_true = true_distance(rows[:dim])
         ds = profile.d_star(dim)
         gb = chain.generic_bound(dim)
         record(f"dstar-m{m}", d_true >= ds,
@@ -57,25 +61,19 @@ def run_verification(table: evalcode.EvaluationTable, max_dim: int | None = None
                    f"true {d_true} >= {table.n - m}")
 
     if ghw_r:
-        queries = []
-        for m in hs.members:
-            c = evalcode.code(table, m)
-            dim = c.dimension
-            if dim == 0 or dim > cap_dim:
-                continue
-            queries += [(m, c, r) for r in range(1, min(ghw_r, dim) + 1)
-                        if oracle.gaussian_binomial(dim, r, q)
-                        <= budget.max_subspaces]
-        ghw = bounds.ghw_table(hs, [(r, c.dimension) for _, c, r in queries])
-        for (m, c, r), entry in zip(queries, ghw.entries):
-            dr = oracle.weight_hierarchy(c.matrix, r, budget)
+        queries = [(m, dim, r) for dim, m in enumerate(hs.members, start=1)
+                   for r in range(1, min(ghw_r, dim) + 1)
+                   if searchable(dim, r)]
+        ghw = bounds.ghw_table(hs, [(r, dim) for _, dim, r in queries])
+        for (m, dim, r), entry in zip(queries, ghw.entries):
+            dr = oracle.weight_hierarchy(rows[:dim], r, budget)
             record(f"ghw-m{m}-r{r}", dr >= entry.bound,
-                   f"dim {c.dimension}: true {dr} >= bound {entry.bound}")
+                   f"dim {dim}: true {dr} >= bound {entry.bound}")
 
     for delta in range(1, hs.n + 1):
         mat = evalcode.improved_generators(table, delta)
         dim = mat.nrows
-        if dim == 0 or dim > cap_dim or q ** dim > budget.max_codewords:
+        if not searchable(dim):
             continue
         d_true = true_distance(mat)
         record(f"improved-delta{delta}", d_true >= delta,

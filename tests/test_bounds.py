@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from agb import (HStar, NumericalSemigroup, a_set, bound_table, d_ord, d_star,
                  feng_rao_improved_dim, ghw_bound, ghw_table, goppa_compare,
                  improved_profile, l_set_check, lambda_profile, lambda_star)
-from agb.bounds import _a_count, a_counts_by_index
+from agb.bounds import a_counts_by_index
 from agb.errors import (DeltaOutOfRange, EnumerationCapExceeded,
                         IndexOutOfRange, NotAMember, NotIsometryDual)
 
@@ -28,7 +28,7 @@ def d_ord_threshold(hs, i):
     """
     S = hs.semigroup
     cutoff = hs.n + 2 * S.genus - 1 - hs.members[i - 1]
-    return min(_a_count(S, h) for h in hs.members if h >= cutoff)
+    return min(len(a_set(S, h)) for h in hs.members if h >= cutoff)
 
 
 def ref_counts(hs):
@@ -98,13 +98,31 @@ def test_lazy_masks_match_dense_route_and_lambda_star(suzuki_hstar,
 
 
 def test_a_count_matches_window_count_across_the_switch(small_family):
-    # #A(h) = h + 1 - 2g from h = 2c - 1 on; below that it is counted
+    # #A(h) = h + 1 - 2g from h = 2c - 1 on; below that gap pairs add to it
     for S in small_family:
         top = 2 * S.conductor + 5
         mem = sieve_membership(S.generators, top)
+        # every member below n is a jump value of the equiv-divisor set
+        hs = HStar.from_equiv_divisor(S, top + 1)
+        counts = dict(zip(hs.members, a_counts_by_index(hs).tolist()))
         for h in range(top + 1):
+            if not mem[h]:
+                continue
             direct = sum(1 for t in range(h + 1) if mem[t] and mem[h - t])
-            assert _a_count(S, h) == direct, (S, h)
+            assert len(a_set(S, h)) == direct, (S, h)
+            assert counts[h] == direct, (S, h)
+
+
+@pytest.mark.parametrize("build", [HStar.from_equiv_divisor,
+                                   HStar.from_isometry_dual])
+def test_a_counts_by_index_match_a_sets_over_small_family(small_family,
+                                                          build):
+    # jump values run up to n + 2g - 1 >= 4g + 2 > 2c - 1 at both lengths
+    for S in small_family:
+        for n in (2 * S.genus + 3, 2 * S.conductor + 4):
+            hs = build(S, n)
+            assert a_counts_by_index(hs).tolist() == \
+                [len(a_set(S, h)) for h in hs.members], (S, n)
 
 
 def _traced_peak_mib(fn, *args):

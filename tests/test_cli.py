@@ -335,7 +335,7 @@ def test_missing_input_file_exit_1(tmp_path):
                             "UnreadableFile")
 
 
-@pytest.mark.parametrize("var, value", [("AGB_BUDGET_CODEWORDS", "abc"),
+@pytest.mark.parametrize("var, value", [("AGB_BUDGET_SUBSPACES", "abc"),
                                         ("AGB_BUDGET_SUBSPACES", "1e6")])
 def test_non_integer_budget_setting_exit_1(var, value):
     assert_clean_error_exit(["verify", "hermitian", "--q0", "2"],

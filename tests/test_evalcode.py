@@ -49,8 +49,8 @@ def test_hermitian_q0_4_shape(herm4_table):
 def test_hermitian_points_satisfy_curve(herm2_table, herm3_table, herm4_table):
     for q0, t in ((2, herm2_table), (3, herm3_table), (4, herm4_table)):
         f = t.field
-        xrow = t.row_for_pole(q0)       # the function x
-        yrow = t.row_for_pole(q0 + 1)   # the function y
+        # rows 1 and 2 have pole orders q0 and q0 + 1: the functions x and y
+        xrow, yrow = t.functions[1].values, t.functions[2].values
         for x, y in zip(xrow, yrow):
             assert f.add(f.pow(int(y), q0), int(y)) == f.pow(int(x), q0 + 1)
 
@@ -100,8 +100,10 @@ def test_code_works_on_a_chain_that_is_not_a_jump_set():
         [(0, [1, 1, 1]), (1, [1, 1, 1]), (2, [0, 1, 3])], S)
     assert measured_dimensions(table) == [1, 1, 2]
     assert [code(table, m).dimension for m in range(3)] == [1, 1, 2]
-    with pytest.raises(MalformedChain):
-        empirical_hstar(table)
+    # a failure is never kept: every call measures and raises again
+    for fn in (empirical_hstar, empirical_hstar, chain_matrix):
+        with pytest.raises(MalformedChain):
+            fn(table)
 
 
 def test_empirical_hstar(herm2_table, herm3_table, herm4_table):
@@ -256,6 +258,18 @@ def test_load_table_integer_fields_are_checked_not_cast(tmp_path, herm2_table,
     for key in outer:
         holder = holder[key]
     holder[last] = bad(holder[last])
+    target.write_text(json.dumps(obj))
+    with pytest.raises(SchemaError):
+        load_table(target)
+
+
+@pytest.mark.parametrize("point", [1.5, None], ids=["float", "null"])
+def test_load_table_points_must_be_strings(tmp_path, herm2_table, point):
+    # str() would have loaded these as '1.5' and 'None'
+    target = tmp_path / "h2.json"
+    save_table(herm2_table, target)
+    obj = json.loads(target.read_text())
+    obj["points"][3] = point
     target.write_text(json.dumps(obj))
     with pytest.raises(SchemaError):
         load_table(target)

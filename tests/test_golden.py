@@ -25,10 +25,12 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
     ("q0_3_max_dim_7.json", ["--q0", "3", "--max-dim", "7", "--json"]),
     ("q0_2.json", ["--q0", "2", "--json"]),
     ("q0_3_max_dim_3.txt", ["--q0", "3", "--max-dim", "3"]),
+    # the default budget's record sets at GF(9) and GF(16)
+    ("q0_3.json", ["--q0", "3", "--json"]),
+    ("q0_4.json", ["--q0", "4", "--json"]),
 ])
 def test_verify_output_matches_golden_file(capsys, monkeypatch, name, argv):
-    # the files hold the records of the default search budgets
-    monkeypatch.delenv("AGB_BUDGET_CODEWORDS", raising=False)
+    # the files hold the records of the default search budget
     monkeypatch.delenv("AGB_BUDGET_SUBSPACES", raising=False)
     assert main(["verify", "hermitian", *argv]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()

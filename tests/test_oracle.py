@@ -68,8 +68,17 @@ def test_min_distance_budget():
     f9 = field(3, 2)
     M = FieldMatrix(f9, np.eye(8, dtype=np.int32))
     with pytest.raises(BudgetExceeded) as exc:
-        min_distance(M, SearchBudget(max_codewords=100))
-    assert exc.value.required == 9 ** 8
+        min_distance(M, SearchBudget(max_subspaces=100))
+    assert exc.value.required == (9 ** 8 - 1) // 8
+
+
+def test_budget_counts_the_monic_codewords_listed():
+    # GF(4), k = 5: the search lists (4^5 - 1)/3 = 341 monic codewords
+    M = FieldMatrix(field(2, 2), np.eye(5, dtype=np.int32))
+    assert min_distance(M, SearchBudget(341)) == 1
+    with pytest.raises(BudgetExceeded) as exc:
+        min_distance(M, SearchBudget(340))
+    assert (exc.value.required, exc.value.kind) == (341, "subspaces")
 
 
 def test_min_distance_zero_code_rejected():
@@ -238,20 +247,17 @@ def test_isometry_trivial_length_one():
 
 
 def test_budget_from_env(monkeypatch):
-    monkeypatch.setenv("AGB_BUDGET_CODEWORDS", "1234")
     monkeypatch.setenv("AGB_BUDGET_SUBSPACES", "77")
     b = SearchBudget.from_env()
-    assert b.max_codewords == 1234
     assert b.max_subspaces == 77
-    monkeypatch.delenv("AGB_BUDGET_CODEWORDS")
     monkeypatch.delenv("AGB_BUDGET_SUBSPACES")
     b2 = SearchBudget.from_env()
-    assert b2.max_codewords == 1 << 26
+    assert b2.max_subspaces == 10 ** 7
 
 
-@pytest.mark.parametrize("var, value", [("AGB_BUDGET_CODEWORDS", "abc"),
+@pytest.mark.parametrize("var, value", [("AGB_BUDGET_SUBSPACES", "abc"),
                                         ("AGB_BUDGET_SUBSPACES", "2.5"),
-                                        ("AGB_BUDGET_CODEWORDS", "0")])
+                                        ("AGB_BUDGET_SUBSPACES", "0")])
 def test_budget_from_env_rejects_bad_values(monkeypatch, var, value):
     monkeypatch.setenv(var, value)
     with pytest.raises(InvalidSearchBudget) as exc:

@@ -1,27 +1,37 @@
 """run_verification: one measured chain per table, one search per distinct code."""
 
+import sys
+
+from agb import gf
 from agb import (FieldMatrix, evalcode, hermitian_table, load_table, oracle,
                  save_table)
 from agb.verify import run_verification
 
 
 def counted_run(monkeypatch, table, **kwargs):
-    """Run the verification, counting exhaustive searches and chain passes.
+    """Run the verification, counting exhaustive searches and eliminations.
 
-    A chain pass is one ``rref`` called inside ``agb.evalcode``.
+    ``rref`` counts every call, from every module that imports it; a chain
+    pass is one of those made inside ``agb.evalcode``.
     """
-    calls = {"min_distance": 0, "weight_hierarchy": 0, "chain_passes": 0}
+    calls = {"min_distance": 0, "weight_hierarchy": 0, "chain_passes": 0,
+             "rref": 0}
 
-    def counting(key, fn):
+    def counting(keys, fn):
         def wrapper(*args, **kw):
-            calls[key] += 1
+            for key in keys:
+                calls[key] += 1
             return fn(*args, **kw)
         return wrapper
 
     for key in ("min_distance", "weight_hierarchy"):
-        monkeypatch.setattr(oracle, key, counting(key, getattr(oracle, key)))
-    monkeypatch.setattr(evalcode, "rref",
-                        counting("chain_passes", evalcode.rref))
+        monkeypatch.setattr(oracle, key, counting([key], getattr(oracle, key)))
+    rref = gf.rref
+    for mod in [m for name, m in sys.modules.items()
+                if name.split(".")[0] == "agb"
+                and getattr(m, "rref", None) is rref]:
+        keys = ["rref", "chain_passes"] if mod is evalcode else ["rref"]
+        monkeypatch.setattr(mod, "rref", counting(keys, rref))
     return run_verification(table, **kwargs), calls
 
 
@@ -29,7 +39,7 @@ def test_gf9_run_searches_each_distinct_code_once(monkeypatch):
     # 20 records read true distances, but only 7 distinct row spaces exist
     checks, calls = counted_run(monkeypatch, hermitian_table(3), max_dim=7)
     assert calls == {"min_distance": 7, "weight_hierarchy": 0,
-                     "chain_passes": 1}
+                     "chain_passes": 1, "rref": 10}
     assert all(c["ok"] for c in checks)
 
 
@@ -37,7 +47,7 @@ def test_gf4_ghw_run_searches_each_distinct_code_once(monkeypatch):
     # each GHW query is a distinct (m, r) pair, so each gets its own search
     checks, calls = counted_run(monkeypatch, hermitian_table(2), ghw_r=4)
     assert calls == {"min_distance": 8, "weight_hierarchy": 21,
-                     "chain_passes": 1}
+                     "chain_passes": 1, "rref": 32}
     assert all(c["ok"] for c in checks)
 
 
