@@ -109,7 +109,8 @@ class MatrixShapeMismatch(AgbError, ValueError):
 # -- evalcode ----------------------------------------------------------------
 
 class UnsupportedParameter(AgbError):
-    """Built-in curve family does not cover the requested parameter."""
+    """A built-in curve family or a verification cap does not cover the
+    requested parameter."""
 
 
 class SchemaError(AgbError):

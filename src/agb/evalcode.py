@@ -45,7 +45,7 @@ class EvaluationTable:
     """
 
     __slots__ = ("field", "points", "functions", "semigroup", "_pivots",
-                 "_hstar")
+                 "_hstar", "_chain")
 
     def __init__(self, fld: FiniteField, points, functions,
                  semigroup: NumericalSemigroup):
@@ -56,7 +56,7 @@ class EvaluationTable:
             for po, vals in functions
         )
         self.semigroup = semigroup
-        self._pivots = self._hstar = None
+        self._pivots = self._hstar = self._chain = None
         self._check()
 
     @property
@@ -173,10 +173,13 @@ def empirical_hstar(table: EvaluationTable) -> HStar:
 
 
 def chain_matrix(table: EvaluationTable) -> FieldMatrix:
-    """The n chain rows, those at the empirical jump pole orders, in order."""
-    empirical_hstar(table)   # a malformed chain raises here
-    rows = table.rows_up_to(table.top_order)
-    return FieldMatrix(table.field, rows[_chain_pivots(table)])
+    """The n chain rows, those at the empirical jump pole orders, in order;
+    kept on the table once the chain is valid."""
+    empirical_hstar(table)   # a malformed chain raises here, on every call
+    if table._chain is None:
+        rows = table.rows_up_to(table.top_order)
+        table._chain = FieldMatrix(table.field, rows[_chain_pivots(table)])
+    return table._chain
 
 
 def improved_generators(table: EvaluationTable, delta: int,

@@ -2,8 +2,12 @@
 
 One exhaustive search lists each r-dimensional subcode once, by its reduced
 echelon basis, for the true generalized Hamming weights; the minimum distance
-is its r = 1 case, which lists the monic codewords.  Also: dual codes by
-nullspace, and a coordinatewise-scaling witness of isometry-duality.
+is its r = 1 case, which lists the monic codewords.  Its inner loop does no
+field arithmetic: each basis is a head plus an offset from one uint8 block,
+the span of the last free coefficients, and its support is where the block
+differs from the head, counted in the least dtype that holds n.  The block
+is built once per run of pivot sets with the same free tail.  Also: dual
+codes by nullspace, and a coordinatewise-scaling witness of isometry-duality.
 """
 
 import os
@@ -52,39 +56,57 @@ class SearchBudget:
         return cls(cap)
 
 
+def _span(fld: FiniteField, scaled: np.ndarray, base: np.ndarray,
+          entries) -> np.ndarray:
+    """base (r, n, m) plus every combination of the free entries (i, j),
+    c * rows[j] = scaled[j, :, c] added to basis row i for each c in GF(q):
+    (r, n, m * q^len(entries)), one array step per entry."""
+    r, n = base.shape[:2]
+    for i, j in entries:
+        step = np.zeros((r, n, fld.q, 1), dtype=np.int32)
+        step[i, :, :, 0] = scaled[j]
+        base = fld.add_arrays(step, base[:, :, None]).reshape(r, n, -1)
+    return base
+
+
 def _least_support(fld: FiniteField, rows: np.ndarray, r: int) -> int:
     """Least support size over the r-dimensional subspaces of the span of rows.
 
     Each subspace is listed once, by its reduced echelon basis: for pivots
     p_1 < ... < p_r, basis row i is rows[p_i] plus any combination of the
-    non-pivot rows after p_i.  The last s free coefficients form one block of
-    q^s bases (r * q^s <= _BLOCK_TARGET); each combination of the others,
-    the head, is added to the whole block at once.
+    non-pivot rows after p_i.  The last s free coefficients, the tail, span
+    one block of q^s offsets b (r * q^s <= _BLOCK_TARGET); the pivot rows
+    plus each combination of the others form the heads h.  The block is a
+    span, so it holds -b with every b, and the bases h - b of one head are
+    the bases h + b; a column of h - b vanishes exactly where b == h.  So
+    the search compares the block with each head and adds no field
+    elements.  The block holds no pivot row, so consecutive pivot sets with
+    the same tail share it; block and heads are uint8 (q <= 256), and the
+    support of each basis is counted in the least dtype that holds n.
     """
     k, n = rows.shape
-    q = fld.q
-    scaled = fld.mul_arrays(rows[:, :, None], np.arange(q))     # (k, n, q)
+    scaled = fld.mul_arrays(rows[:, :, None], np.arange(fld.q))  # (k, n, q)
+    count = np.min_scalar_type(n)
     best = n + 1
+    tail = block = None
     for pivots in combinations(range(k), r):
         free = [(i, j) for i in range(r)
                 for j in range(pivots[i] + 1, k) if j not in pivots]
         s = 0
-        while s < len(free) and r * q ** (s + 1) <= _BLOCK_TARGET:
+        while s < len(free) and r * fld.q ** (s + 1) <= _BLOCK_TARGET:
             s += 1
-        head, tail = free[: len(free) - s], free[len(free) - s:]
-        # bases run along the last axis, so the support reductions below
-        # combine whole planes instead of short rows
-        block = rows[list(pivots)][:, :, None]      # grows to (r, n, q^s)
-        for i, j in tail:
-            step = np.zeros((r, n, q, 1), dtype=np.int32)
-            step[i, :, :, 0] = scaled[j]
-            block = fld.add_arrays(step, block[:, :, None]).reshape(r, n, -1)
-        for lams in product(range(q), repeat=len(head)):
-            offset = np.zeros((r, n, 1), dtype=np.int32)
-            for (i, j), lam in zip(head, lams):
-                offset[i] = fld.add_arrays(offset[i], scaled[j, :, lam:lam + 1])
-            support = fld.add_arrays(block, offset).any(axis=0).sum(axis=0)
-            best = min(best, int(support.min()))
+        split = len(free) - s
+        if free[split:] != tail:
+            tail = free[split:]
+            # bases run along the last axis, so the support reductions below
+            # combine whole planes instead of short rows
+            block = _span(fld, scaled, np.zeros((r, n, 1), dtype=np.int32),
+                          tail).astype(np.uint8)
+        heads = _span(fld, scaled, rows[list(pivots)][:, :, None],
+                      free[:split]).astype(np.uint8)
+        for h in range(heads.shape[2]):
+            support = (block != heads[:, :, h:h + 1]).any(axis=0)
+            best = min(best, int(support.sum(axis=0, dtype=count).min()))
     return best
 
 

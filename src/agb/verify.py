@@ -1,7 +1,7 @@
 """Brute-force cross-validation of every bound on a concrete evaluation table."""
 
 from . import bounds, evalcode, oracle
-from .errors import AgbError
+from .errors import AgbError, UnsupportedParameter
 from .hstar import HStar
 
 
@@ -17,8 +17,13 @@ def run_verification(table: evalcode.EvaluationTable, max_dim: int | None = None
     Every code checked is a set of chain rows in chain order (the first k
     for the chain code of dimension k), and true distances are kept under
     those rows as given: records that check the same index set, and so the
-    same row space, share one exhaustive search.
+    same row space, share one exhaustive search.  ``None`` means no cap
+    and no GHW checks; a given ``max_dim`` or ``ghw_r`` below 1 raises
+    UnsupportedParameter.
     """
+    for name, value in (("max_dim", max_dim), ("ghw_r", ghw_r)):
+        if value is not None and value < 1:
+            raise UnsupportedParameter(f"{name} must be at least 1, got {value}")
     budget = budget or oracle.SearchBudget.from_env()
     checks = []
     distances = {}
@@ -60,7 +65,7 @@ def run_verification(table: evalcode.EvaluationTable, max_dim: int | None = None
             record(f"goppa-m{m}", d_true >= table.n - m,
                    f"true {d_true} >= {table.n - m}")
 
-    if ghw_r:
+    if ghw_r is not None:
         queries = [(m, dim, r) for dim, m in enumerate(hs.members, start=1)
                    for r in range(1, min(ghw_r, dim) + 1)
                    if searchable(dim, r)]

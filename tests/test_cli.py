@@ -301,6 +301,14 @@ def test_verify_hermitian_4_passes_every_record(capsys):
     assert "biorthogonal-adjust" in names
 
 
+@pytest.mark.parametrize("flags", [["--max-dim", "-3"], ["--max-dim", "0"],
+                                   ["--ghw", "0"], ["--ghw", "-2"]])
+def test_verify_nonpositive_cap_exit_1(capsys, flags):
+    code, out, err = run(capsys, ["verify", "hermitian", "--q0", "2", *flags])
+    assert (code, out) == (1, "")
+    assert err.startswith("UnsupportedParameter: ")
+
+
 def test_verify_text_mode(capsys):
     code, out, _ = run(capsys, ["verify", "hermitian", "--q0", "2"])
     assert code == 0

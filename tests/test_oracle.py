@@ -380,11 +380,14 @@ def test_weight_hierarchy_finds_the_one_support_four_plane(monkeypatch, p,
 
 
 @settings(max_examples=100, deadline=None)
-@given(field_matrices(fields=[(2, 1), (3, 1), (2, 2)], max_rows=5),
+@given(field_matrices(fields=[(2, 1), (3, 1), (2, 2)], max_rows=5)
+       | field_matrices(fields=[(5, 1), (2, 3), (3, 2)], max_rows=4),
        st.sampled_from([1, 2, 6, 64]))
 def test_one_search_matches_naive_enumeration(M, target):
     # a small _BLOCK_TARGET splits the free coefficients between the block
-    # and the head walk at every position
+    # and the heads at every position; GF(5), GF(8) and GF(9) have -1 != 1
+    # or a q that is not prime (four rows there keep the naive scan to a
+    # few thousand subspaces)
     red = rref(M)
     rows = red.matrix.data[: red.rank]
     with mock.patch.object(oracle, "_BLOCK_TARGET", target):
@@ -411,3 +414,31 @@ def test_true_hermitian_weights():
            (7, 2): 3}
     assert {kr: weight_hierarchy(chain_code(herm2, kr[0]), kr[1])
             for kr in ghw} == ghw
+
+
+def test_search_counts_past_255_columns():
+    # at n >= 256 the support counts need a uint16: a uint8 count wraps
+    # 300 to 44 and 290 to 34
+    fld = field(3, 1)
+    assert min_distance(FieldMatrix(fld, [[1] * 300])) == 300
+    rows = np.zeros((2, 300), dtype=np.int32)
+    rows[0, :200] = 1
+    rows[1, 100:290] = 1
+    # words: rows[0] (200), rows[1] (190), sum (290) and difference (190)
+    M = FieldMatrix(fld, rows)
+    assert min_distance(M) == 190
+    assert weight_hierarchy(M, 2) == 290
+
+
+@pytest.mark.parametrize("target", [1, 9, 81])
+def test_gf9_search_does_not_depend_on_the_block_size(monkeypatch, target):
+    # 1 puts every free coefficient in the heads, 9 and 81 split them
+    # between heads and tail; the default keeps whole tails in the block
+    herm3 = FieldMatrix(field(3, 2), chain_matrix(hermitian_table(3)).data[:4])
+    rng = np.random.default_rng(909)
+    codes = [herm3, FieldMatrix(field(3, 2), rng.integers(0, 9, (4, 12)))]
+    default = [[weight_hierarchy(M, r) for r in range(1, 5)] for M in codes]
+    assert default[0][0] == 21
+    monkeypatch.setattr(oracle, "_BLOCK_TARGET", target)
+    assert [[weight_hierarchy(M, r) for r in range(1, 5)]
+            for M in codes] == default

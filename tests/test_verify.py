@@ -2,9 +2,12 @@
 
 import sys
 
+import pytest
+
 from agb import gf
 from agb import (FieldMatrix, evalcode, hermitian_table, load_table, oracle,
                  save_table)
+from agb.errors import UnsupportedParameter
 from agb.verify import run_verification
 
 
@@ -83,3 +86,11 @@ def test_loaded_table_gives_the_same_records(tmp_path):
     save_table(hermitian_table(2), path)
     assert (run_verification(load_table(path), ghw_r=4)
             == run_verification(hermitian_table(2), ghw_r=4))
+
+
+@pytest.mark.parametrize("caps", [{"max_dim": 0}, {"max_dim": -3},
+                                  {"ghw_r": 0}, {"ghw_r": -2}])
+def test_nonpositive_caps_are_rejected(caps):
+    # a cap below 1 would search nothing and report every check passed
+    with pytest.raises(UnsupportedParameter):
+        run_verification(hermitian_table(2), **caps)
