@@ -6,8 +6,15 @@ is its r = 1 case, which lists the monic codewords.  Its inner loop does no
 field arithmetic: each basis is a head plus an offset from one uint8 block,
 the span of the last free coefficients, and its support is where the block
 differs from the head, counted in the least dtype that holds n.  The block
-is built once per run of pivot sets with the same free tail.  Also: dual
-codes by nullspace, and a coordinatewise-scaling witness of isometry-duality.
+is built once per run of pivot sets with the same free tail.
+
+Each query runs that search on whichever of C and its dual C⊥ lists fewer
+subspaces.  Through C⊥ it reads d_r(C) off Wei duality (Wei 1991): the
+weights of C are the integers 1..n outside {n + 1 - d_s(C⊥)}, so d_r(C) is
+the r-th of them, found from the largest s down, where the dual's subspaces
+are fewest.  A high-rate code of any length is thus in reach when its dual
+is small.  Also: dual codes by nullspace, and a coordinatewise-scaling
+witness of isometry-duality.
 """
 
 import os
@@ -18,7 +25,7 @@ import numpy as np
 
 from .errors import (BudgetExceeded, IndexOutOfRange,
                      InternalInvariantViolation, InvalidSearchBudget)
-from .gf import FieldMatrix, FiniteField, rref
+from .gf import FieldMatrix, FiniteField, RowReduction, rref
 from .generic_bound import CodeChain
 
 _BLOCK_TARGET = 8192
@@ -29,9 +36,12 @@ _COMB_CAP = 10 ** 6  # witness candidates tried before giving up
 class SearchBudget:
     """Cap on the subspaces one exhaustive search lists; over it, BudgetExceeded.
 
-    A search of a k-dimensional code at rank r lists gaussian_binomial(k, r, q)
-    subcodes, at r = 1 the (q^k - 1)/(q - 1) monic codewords.  :meth:`fits`
-    is the one test against the cap, for the search and ``agb verify`` alike.
+    Listed directly, an [n, k] code at rank r takes gaussian_binomial(k, r, q)
+    subcodes, at r = 1 the (q^k - 1)/(q - 1) monic codewords; through its
+    dual of dimension n - k, at most the sum of gaussian_binomial(n - k, s, q)
+    over s = 1..n - k.  The cap bounds the count of the route the search
+    takes, the smaller one.  :meth:`fits` tests the direct count alone: it is
+    the rule by which ``agb verify`` chooses the codes it checks.
     """
 
     max_subspaces: int = 10 ** 7
@@ -41,7 +51,8 @@ class SearchBudget:
             raise InvalidSearchBudget("the budget must be positive")
 
     def fits(self, k: int, r: int, q: int) -> bool:
-        """Whether a k-dimensional code over GF(q) can be searched at rank r."""
+        """Whether a k-dimensional code over GF(q) can be listed directly at
+        rank r, whatever its length."""
         return gaussian_binomial(k, r, q) <= self.max_subspaces
 
     @classmethod
@@ -136,27 +147,63 @@ def weight_hierarchy(M: FieldMatrix, r: int,
 
 
 def _search(M: FieldMatrix, r: int, budget: SearchBudget | None) -> int:
-    """The one entry of both searches: reduce the rows of M once, check the
-    budget, then list the r-dimensional subcodes."""
+    """The one entry of both searches: reduce the rows of M once, take the
+    route that lists fewer subspaces, check its count against the budget,
+    then search.
+
+    The dual route is weighed only when k⊥ = n - k < k, and taken when the
+    most it lists, the sum over s of [k⊥, s]_q, falls below the direct
+    [k, r]_q.  It reads the dual basis off the same reduction and steps the
+    Wei exclusions n + 1 - d_s(C⊥) from the least, at s = k⊥, upward: j of
+    them lie at or below r + j until the next one lies above, and then
+    d_r(C) = r + j.  With k⊥ = 0 nothing is excluded and d_r = r.
+    """
     budget = budget or SearchBudget()
     red = rref(M)
-    k, q = red.rank, M.field.q
+    n, k, q = M.ncols, red.rank, M.field.q
     if not 1 <= r <= k:
         raise IndexOutOfRange(f"need 1 <= r <= dim = {k}, got r={r}")
-    if not budget.fits(k, r, q):
-        raise BudgetExceeded(gaussian_binomial(k, r, q), budget.max_subspaces)
-    return _least_support(M.field, red.matrix.data[:k], r)
+    direct = gaussian_binomial(k, r, q)
+    through_dual = _wei_count(n - k, q, direct) if n - k < k else direct
+    listed = min(direct, through_dual)
+    if listed > budget.max_subspaces:
+        raise BudgetExceeded(listed, budget.max_subspaces)
+    if through_dual >= direct:
+        return _least_support(M.field, red.matrix.data[:k], r)
+    rows = _nullspace(red)
+    j = 0
+    for s in range(n - k, 0, -1):
+        if n + 1 - _least_support(M.field, rows, s) > r + j:
+            break
+        j += 1
+    return r + j
+
+
+def _wei_count(kd: int, q: int, cap: int) -> int:
+    """Subspaces the Wei step lists at most on a kd-dimensional dual, summed
+    from s = kd down; once the sum passes cap, the partial sum."""
+    total = 0
+    for s in range(kd, 0, -1):
+        total += gaussian_binomial(kd, s, q)
+        if total > cap:
+            break
+    return total
+
+
+def _nullspace(red: RowReduction) -> np.ndarray:
+    """Rows spanning the nullspace of a reduced matrix: one per free column c,
+    1 at c and, at each pivot column, minus that pivot row's entry at c."""
+    M = red.matrix
+    free = [c for c in range(M.ncols) if c not in red.pivots]
+    out = np.zeros((len(free), M.ncols), dtype=np.int32)
+    out[np.arange(len(free)), free] = 1
+    out[:, list(red.pivots)] = M.field.neg_arrays(M.data[: red.rank][:, free].T)
+    return out
 
 
 def dual(M: FieldMatrix) -> FieldMatrix:
     """Generator matrix of the dual code (nullspace of the rows of M)."""
-    red = rref(M)
-    pivots = list(red.pivots)
-    free = [c for c in range(M.ncols) if c not in red.pivots]
-    out = np.zeros((len(free), M.ncols), dtype=np.int32)
-    out[np.arange(len(free)), free] = 1
-    out[:, pivots] = M.field.neg_arrays(red.matrix.data[: red.rank][:, free].T)
-    return FieldMatrix(M.field, out)
+    return FieldMatrix(M.field, _nullspace(rref(M)))
 
 
 def find_isometry_vector(chain: CodeChain):

@@ -15,9 +15,10 @@ def run_verification(table: evalcode.EvaluationTable, max_dim: int | None = None
     improved code.  Returns one record per inequality checked.
 
     Every code checked is a set of chain rows in chain order (the first k
-    for the chain code of dimension k), and true distances are kept under
-    those rows as given: records that check the same index set, and so the
-    same row space, share one exhaustive search.  ``None`` means no cap
+    for the chain code of dimension k), and true weights are kept under
+    those rows as given and the rank r: records that check the same index
+    set at the same r, and so the same row space, share one exhaustive
+    search, and r = 1 is always ``min_distance``.  ``None`` means no cap
     and no GHW checks; a given ``max_dim`` or ``ghw_r`` below 1 raises
     UnsupportedParameter.
     """
@@ -26,16 +27,17 @@ def run_verification(table: evalcode.EvaluationTable, max_dim: int | None = None
             raise UnsupportedParameter(f"{name} must be at least 1, got {value}")
     budget = budget or oracle.SearchBudget.from_env()
     checks = []
-    distances = {}
+    weights = {}
 
     def record(name, ok, detail):
         checks.append({"name": name, "ok": bool(ok), "detail": detail})
 
-    def true_distance(M):
-        key = M.data.tobytes()
-        if key not in distances:
-            distances[key] = oracle.min_distance(M, budget)
-        return distances[key]
+    def true_weight(M, r=1):
+        key = (M.data.tobytes(), r)
+        if key not in weights:
+            weights[key] = (oracle.min_distance(M, budget) if r == 1 else
+                            oracle.weight_hierarchy(M, r, budget))
+        return weights[key]
 
     hs = evalcode.empirical_hstar(table)
     ref = HStar.from_equiv_divisor(table.semigroup, table.n)
@@ -54,7 +56,7 @@ def run_verification(table: evalcode.EvaluationTable, max_dim: int | None = None
     for m, dim in enumerate(evalcode.measured_dimensions(table)):
         if not searchable(dim):
             continue
-        d_true = true_distance(rows[:dim])
+        d_true = true_weight(rows[:dim])
         ds = profile.d_star(dim)
         gb = chain.generic_bound(dim)
         record(f"dstar-m{m}", d_true >= ds,
@@ -71,7 +73,7 @@ def run_verification(table: evalcode.EvaluationTable, max_dim: int | None = None
                    if searchable(dim, r)]
         ghw = bounds.ghw_table(hs, [(r, dim) for _, dim, r in queries])
         for (m, dim, r), entry in zip(queries, ghw.entries):
-            dr = oracle.weight_hierarchy(rows[:dim], r, budget)
+            dr = true_weight(rows[:dim], r)
             record(f"ghw-m{m}-r{r}", dr >= entry.bound,
                    f"dim {dim}: true {dr} >= bound {entry.bound}")
 
@@ -80,7 +82,7 @@ def run_verification(table: evalcode.EvaluationTable, max_dim: int | None = None
         dim = mat.nrows
         if not searchable(dim):
             continue
-        d_true = true_distance(mat)
+        d_true = true_weight(mat)
         record(f"improved-delta{delta}", d_true >= delta,
                f"dim {dim}: true {d_true} >= designed {delta}")
 

@@ -65,20 +65,52 @@ def test_min_distance_dependent_rows_are_fine():
 
 
 def test_min_distance_budget():
+    # a full-rank [16, 8] code over GF(9): its dual is no smaller, so the
+    # search lists the code's own monic codewords
     f9 = field(3, 2)
-    M = FieldMatrix(f9, np.eye(8, dtype=np.int32))
+    rng = random.Random(16)
+    parity = [[rng.randrange(9) for _ in range(8)] for _ in range(8)]
+    M = FieldMatrix(f9, np.hstack([np.eye(8, dtype=np.int32), parity]))
     with pytest.raises(BudgetExceeded) as exc:
         min_distance(M, SearchBudget(max_subspaces=100))
     assert exc.value.required == (9 ** 8 - 1) // 8
 
 
 def test_budget_counts_the_monic_codewords_listed():
-    # GF(4), k = 5: the search lists (4^5 - 1)/3 = 341 monic codewords
-    M = FieldMatrix(field(2, 2), np.eye(5, dtype=np.int32))
-    assert min_distance(M, SearchBudget(341)) == 1
+    # [I_5 | I_5] over GF(4), k = 5 = n - k: the search lists
+    # (4^5 - 1)/3 = 341 monic codewords
+    eye = np.eye(5, dtype=np.int32)
+    M = FieldMatrix(field(2, 2), np.hstack([eye, eye]))
+    assert min_distance(M, SearchBudget(341)) == 2
     with pytest.raises(BudgetExceeded) as exc:
         min_distance(M, SearchBudget(340))
     assert (exc.value.required, exc.value.kind) == (341, "subspaces")
+
+
+def test_whole_space_needs_no_search():
+    # the dual of GF(9)^8 is zero, so d_1 = 1 lists nothing, under any cap
+    M = FieldMatrix(field(3, 2), np.eye(8, dtype=np.int32))
+    assert min_distance(M, SearchBudget(100)) == 1
+    assert weight_hierarchy(M, 5, SearchBudget(1)) == 5
+
+
+def test_budget_reports_the_cheaper_route():
+    # [I_6 | P] over GF(4): directly (4^6 - 1)/3 = 1365 monic codewords,
+    # through the 2-dimensional dual at most [2, 2]_4 + [2, 1]_4 = 6 planes
+    rng = random.Random(6)
+    parity = [[rng.randrange(1, 4) for _ in range(2)] for _ in range(6)]
+    M = FieldMatrix(field(2, 2), np.hstack([np.eye(6, dtype=np.int32), parity]))
+    assert min_distance(M, SearchBudget(6)) == min_distance(M)
+    with pytest.raises(BudgetExceeded) as exc:
+        min_distance(M, SearchBudget(5))
+    assert exc.value.required == 6
+    # [I_5 | 1] over GF(2) at r = 1: 31 words directly, while the
+    # 4-dimensional dual could list 15 + 35 + 15 + 1 = 66 subspaces
+    ones = np.ones((5, 4), dtype=np.int32)
+    M = FieldMatrix(field(2, 1), np.hstack([np.eye(5, dtype=np.int32), ones]))
+    with pytest.raises(BudgetExceeded) as exc:
+        min_distance(M, SearchBudget(30))
+    assert exc.value.required == 31
 
 
 def test_min_distance_zero_code_rejected():
@@ -148,9 +180,10 @@ def test_weight_hierarchy_is_strictly_increasing(herm2_table):
 
 
 def test_weight_hierarchy_budget(herm2_table):
-    c = code(herm2_table, 9)
-    with pytest.raises(BudgetExceeded):
-        weight_hierarchy(c.matrix, 4, SearchBudget(max_subspaces=10))
+    c = code(herm2_table, 4)      # [8, 4]: the dual is no smaller
+    with pytest.raises(BudgetExceeded) as exc:
+        weight_hierarchy(c.matrix, 2, SearchBudget(max_subspaces=10))
+    assert exc.value.required == gaussian_binomial(4, 2, 4) == 357
 
 
 def test_dual_rank_nullity(herm2_table):
@@ -442,3 +475,58 @@ def test_gf9_search_does_not_depend_on_the_block_size(monkeypatch, target):
     monkeypatch.setattr(oracle, "_BLOCK_TARGET", target)
     assert [[weight_hierarchy(M, r) for r in range(1, 5)]
             for M in codes] == default
+
+
+def hierarchy_by_supports(fld, rows):
+    """Every generalized Hamming weight from the q^k codewords alone.
+
+    d_r is the least |T| such that the words supported inside T number at
+    least q^r, since those words form a subcode.  No basis is listed and no
+    dual is taken, so this shares nothing with either search route.
+    """
+    k, n = np.asarray(rows).shape
+    bits = 1 << np.arange(n)
+    masks = np.array([int(bits[v != 0].sum()) for v in all_codewords(fld, rows)])
+    sets = np.arange(1 << n)
+    inside = ((masks[None, :] & ~sets[:, None]) == 0).sum(axis=1)
+    sizes = np.array([bin(t).count("1") for t in sets])
+    return [int(sizes[inside >= fld.q ** r].min()) for r in range(1, k + 1)]
+
+
+@pytest.mark.parametrize("p, e, n, k, zeros", [
+    (2, 1, 9, 8, 0), (2, 1, 9, 9, 0), (2, 1, 9, 7, 2), (2, 1, 8, 6, 0),
+    (3, 1, 8, 7, 0), (3, 1, 8, 6, 1), (3, 1, 7, 7, 0),
+    (2, 2, 8, 6, 0), (2, 2, 8, 7, 1), (2, 2, 7, 5, 0),
+    (5, 1, 6, 5, 0), (5, 1, 6, 4, 1),
+    (2, 3, 5, 4, 0), (2, 3, 5, 3, 1), (2, 3, 4, 4, 0),
+])
+def test_high_rate_hierarchy_matches_codeword_supports(monkeypatch, p, e, n,
+                                                       k, zeros):
+    # random [n, k] codes with k > n - k, the last `zeros` columns zero; a
+    # dual of dimension <= 2 is far cheaper than the code at r = 1, so at
+    # least the minimum distance goes through the Wei step
+    fld = field(p, e)
+    rng = random.Random(n * 100 + k * 10 + zeros + fld.q)
+    duals = []
+    real = oracle._nullspace
+    monkeypatch.setattr(oracle, "_nullspace",
+                        lambda red: duals.append(red.rank) or real(red))
+    for _ in range(3):
+        while True:
+            rows = np.array([[rng.randrange(fld.q) for _ in range(n - zeros)]
+                             + [0] * zeros for _ in range(k)], dtype=np.int32)
+            if rref(FieldMatrix(fld, rows)).rank == k:
+                break
+        M = FieldMatrix(fld, rows)
+        expected = hierarchy_by_supports(fld, rows)
+        duals.clear()
+        assert min_distance(M) == expected[0]
+        assert duals == [k]
+        assert [weight_hierarchy(M, r) for r in range(1, k + 1)] == expected
+
+
+def test_hermitian_gf16_high_rate_distances(herm4_table):
+    # the last five chain codes over GF(16), far past a direct search
+    rows = chain_matrix(herm4_table)
+    assert [min_distance(rows[:dim]) for dim in range(60, 65)] == \
+        [3, 3, 2, 2, 1]
