@@ -15,7 +15,7 @@ from .evalcode import (EvaluationTable, OnePointCode, biorthogonal_adjust,
                        code, code_chain, empirical_hstar, hermitian_table,
                        improved_generators, load_table, save_table)
 from .generic_bound import CodeChain
-from .gf import FieldMatrix, FiniteField, field, load_matrix, rref, save_matrix
+from .gf import FieldMatrix, FiniteField, field, rref, save_matrix
 from .hstar import HStar, HStarMode
 from .oracle import (SearchBudget, dual, find_isometry_vector, min_distance,
                      weight_hierarchy)
@@ -58,7 +58,6 @@ __all__ = [
     "l_set_check",
     "lambda_profile",
     "lambda_star",
-    "load_matrix",
     "load_table",
     "min_distance",
     "rref",

@@ -2,7 +2,8 @@
 
 Subcommands: semigroup, hstar, bounds, ghw, improved, curve, verify (checks in
 :mod:`agb.verify`).  Exit codes: 0 success, 1 domain error (class name on
-stderr) or closed stdout, 2 usage.  Flags change formatting, never numbers.
+stderr) or a failed write to stdout, 2 usage.  Flags change formatting, never
+numbers.
 """
 
 import argparse
@@ -42,7 +43,8 @@ def _emit(payload: dict, as_json: bool, text_lines) -> None:
     else:
         for line in text_lines(payload):
             print(line)
-    # a reader that quit early shows up here, inside main, not at exit
+    # a failed write, such as to a reader that quit early, shows up here,
+    # inside main, not at exit
     sys.stdout.flush()
 
 
@@ -325,8 +327,11 @@ def main(argv=None) -> int:
     except AgbError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except BrokenPipeError:
-        # the reader closed stdout; on devnull the flush at exit cannot fail
+    except OSError as exc:
+        # stdout failed: a reader that closed it needs no message, any other
+        # fault gets one line; on devnull the flush at exit cannot fail
+        if not isinstance(exc, BrokenPipeError):
+            print(f"OSError: {exc}", file=sys.stderr)
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1

@@ -163,10 +163,9 @@ class InvalidSearchBudget(AgbError, ValueError):
 class BudgetExceeded(AgbError):
     """Exhaustive search would exceed the configured budget."""
 
-    def __init__(self, required: int, budget: int, kind: str = "subspaces"):
+    def __init__(self, required: int, budget: int):
         super().__init__(
-            f"search needs {required} {kind}, over the budget of {budget}"
+            f"search needs {required} subspaces, over the budget of {budget}"
         )
         self.required = required
         self.budget = budget
-        self.kind = kind

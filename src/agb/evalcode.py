@@ -182,19 +182,12 @@ def chain_matrix(table: EvaluationTable) -> FieldMatrix:
     return table._chain
 
 
-def improved_generators(table: EvaluationTable, delta: int,
-                        adjust=None) -> FieldMatrix:
-    """Generator matrix of the improved code with designed distance delta.
-
-    Rows are the chain rows at the indices of ``bounds.improved_profile``,
-    those whose profile count reaches delta.  When ``adjust`` is an isometry
-    witness vector, the rows first undergo the biorthogonal adjustment and
-    the same indices are selected from the result.
-    """
+def improved_generators(table: EvaluationTable, delta: int) -> FieldMatrix:
+    """Generator matrix of the improved code with designed distance delta:
+    the chain rows at the indices of ``bounds.improved_profile``, those
+    whose profile count reaches delta."""
     indices = bounds.improved_profile(empirical_hstar(table), delta).indices
-    chain = (biorthogonal_adjust(table, adjust) if adjust is not None
-             else chain_matrix(table))
-    return chain[[i - 1 for i in indices]]
+    return chain_matrix(table)[[i - 1 for i in indices]]
 
 
 def biorthogonal_adjust(table: EvaluationTable, x) -> FieldMatrix:

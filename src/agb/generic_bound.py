@@ -31,10 +31,6 @@ class CodeChain:
         self._inverse = red.matrix.data[:, n:]
         self._wbp = None
 
-    @classmethod
-    def from_matrix(cls, M: FieldMatrix) -> "CodeChain":
-        return cls(M.field, M.data)
-
     def nu(self, v) -> int:
         """First chain level containing v; 0 for the zero vector."""
         v = np.asarray(v, dtype=np.int32)
@@ -73,17 +69,6 @@ class CodeChain:
             wbp[1:, 1:] = table[1:, 1:] > np.maximum(rect[:-1, 1:], rect[1:, :-1])
             self._wbp = wbp
         return self._wbp
-
-    def well_behaving(self) -> frozenset:
-        """All ordered pairs (i, j), 1-based, that are well-behaving."""
-        wbp = self._wbp_table()
-        return frozenset((int(i), int(j)) for i, j in zip(*np.nonzero(wbp)))
-
-    def generic_lambda(self, i: int) -> frozenset:
-        """Indices j with (b_i, b_j) well-behaving."""
-        self._check_index(i)
-        wbp = self._wbp_table()
-        return frozenset(int(j) for j in np.nonzero(wbp[i])[0])
 
     def lambda_counts(self) -> np.ndarray:
         """Well-behaving partner counts per level, index 1..n (entry 0 unused)."""

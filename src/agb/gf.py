@@ -20,8 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (DivisionByZero, InvariantViolation, MatrixShapeMismatch,
-                     SchemaError, UnreadableFile, UnsupportedField,
-                     UnwritableFile, _json_int)
+                     UnsupportedField, UnwritableFile)
 
 _SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
 _MAX_ORDER = 256
@@ -85,9 +84,6 @@ class FiniteField:
 
     def add(self, a: int, b: int) -> int:
         return int(self._add[a, b])
-
-    def neg(self, a: int) -> int:
-        return int(self._neg[a])
 
     def mul(self, a: int, b: int) -> int:
         return int(self._mul[a, b])
@@ -192,10 +188,6 @@ class FieldMatrix:
         self.field = fld
         self.data = arr
 
-    @classmethod
-    def zeros(cls, fld: FiniteField, nrows: int, ncols: int) -> "FieldMatrix":
-        return cls(fld, np.zeros((nrows, ncols), dtype=np.int32))
-
     @property
     def nrows(self) -> int:
         return self.data.shape[0]
@@ -206,12 +198,6 @@ class FieldMatrix:
 
     def __getitem__(self, rows) -> "FieldMatrix":
         return FieldMatrix(self.field, self.data[rows])
-
-    def transpose(self) -> "FieldMatrix":
-        return FieldMatrix(self.field, self.data.T.copy())
-
-    def rank(self) -> int:
-        return rref(self).rank
 
     def __eq__(self, other):
         if not isinstance(other, FieldMatrix):
@@ -229,27 +215,6 @@ class FieldMatrix:
             "cols": self.ncols,
             "data": [int(x) for x in self.data.reshape(-1)],
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "FieldMatrix":
-        """Inverse of :meth:`to_json`; ``data`` is a flat list of entries."""
-        try:
-            p, k, rows, cols = (_json_int(obj[key], key)
-                                for key in ("p", "k", "rows", "cols"))
-            data = obj["data"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"malformed matrix: {exc!r}") from exc
-        fld = field(p, k)
-        if min(rows, cols) < 0:
-            raise SchemaError(f"negative matrix shape {rows}x{cols}")
-        if not isinstance(data, list) or any(
-                type(v) is not int or not 0 <= v < fld.q for v in data):
-            raise SchemaError(
-                f"matrix data must be a flat list of integers in [0, {fld.q})")
-        if len(data) != rows * cols:
-            raise MatrixShapeMismatch(
-                f"{len(data)} entries do not fill {rows}x{cols}")
-        return cls(fld, np.array(data, dtype=np.int32).reshape(rows, cols))
 
 
 class RowReduction(NamedTuple):
@@ -292,14 +257,3 @@ def save_matrix(M: FieldMatrix, path) -> None:
             json.dump(M.to_json(), fh)
     except OSError as exc:
         raise UnwritableFile(f"cannot write {path}: {exc.strerror}") from exc
-
-
-def load_matrix(path) -> FieldMatrix:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise UnreadableFile(f"cannot read {path}: {exc.strerror}") from exc
-    except ValueError as exc:
-        raise UnreadableFile(f"cannot read {path}: not JSON ({exc})") from exc
-    return FieldMatrix.from_json(obj)

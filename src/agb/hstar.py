@@ -53,10 +53,11 @@ class HStar:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def from_explicit(cls, semigroup: NumericalSemigroup, n: int, members,
-                      mode: HStarMode = HStarMode.EXPLICIT) -> "HStar":
+    def from_explicit(cls, semigroup: NumericalSemigroup, n: int,
+                      members) -> "HStar":
         """Wrap a caller-supplied jump set, ignoring order and repeats."""
-        return cls(semigroup, n, set(int(m) for m in members), mode)
+        return cls(semigroup, n, set(int(m) for m in members),
+                   HStarMode.EXPLICIT)
 
     @classmethod
     def from_equiv_divisor(cls, semigroup: NumericalSemigroup, n: int) -> "HStar":

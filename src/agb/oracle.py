@@ -215,7 +215,7 @@ def find_isometry_vector(chain: CodeChain):
     from one (n, n, n) product stack masked to a <= b and a + b <= n (with no
     such pair, the nullspace of no constraints is everything).  The nullspace
     is then scanned (up to ``_COMB_CAP`` combinations) for a vector with
-    every coordinate nonzero.
+    every coordinate nonzero, unless a coordinate is zero on all of it.
     """
     fld = chain.field
     n = chain.n
@@ -223,6 +223,8 @@ def find_isometry_vector(chain: CodeChain):
     pairs = (a[:, None] <= a[None, :]) & (a[:, None] + a[None, :] <= n)
     prods = fld.mul_arrays(chain.basis[:, None, :], chain.basis[None, :, :])
     null = dual(FieldMatrix(fld, prods[pairs])).data
+    if not null.any(axis=0).all():
+        return None  # a coordinate vanishes on every candidate
     combos = product(range(fld.q), repeat=null.shape[0])
     for mu in islice(combos, 1, _COMB_CAP):  # combination 0 is the zero vector
         x = fld.matmul(np.array([mu], dtype=np.int32), null)[0]

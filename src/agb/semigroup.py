@@ -13,7 +13,7 @@ from math import gcd
 import numpy as np
 
 from .errors import (BeyondDeskScale, EmptyGenerators, GcdNotOne,
-                     IndexOutOfRange, NonPositiveGenerator)
+                     NonPositiveGenerator)
 
 MAX_FROBENIUS = 10 ** 7
 
@@ -115,15 +115,6 @@ class NumericalSemigroup:
         return self._bitmap[m]
 
     __contains__ = contains
-
-    def nth_element(self, i: int) -> int:
-        """The i-th member in increasing order, 1-based (element 1 is 0)."""
-        if i < 1:
-            raise IndexOutOfRange("index is 1-based and must be >= 1")
-        small = self._small_members
-        if i <= len(small):
-            return small[i - 1]
-        return self.conductor + (i - len(small) - 1)
 
     def is_symmetric(self) -> bool:
         """True iff the largest gap equals 2g-1 (genus 0 counts as symmetric)."""

@@ -208,11 +208,12 @@ def test_curve_emits_table_and_matrix(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["n"] == 8 and payload["genus"] == 1
     assert payload["dimension"] == 5
-    from agb import load_matrix, load_table
+    from agb import code, load_table
     table = load_table(table_file)
     assert table.n == 8
-    M = load_matrix(matrix_file)
-    assert M.nrows == 5 and M.ncols == 8
+    matrix = json.loads(matrix_file.read_text())
+    assert (matrix["rows"], matrix["cols"]) == (5, 8)
+    assert matrix["data"] == code(table, 5).matrix.data.reshape(-1).tolist()
 
 
 def test_curve_matrix_requires_m(capsys, tmp_path):
@@ -402,3 +403,24 @@ def test_reader_closing_stdout_early_exits_cleanly():
     assert rc != 0
     assert "Traceback" not in err, err
     assert "Exception ignored" not in err, err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a /dev/full device")
+@pytest.mark.parametrize("argv", [
+    ["semigroup", "--gens", "3,5", "--json"],
+    # about 280 kB, so the chunked writer itself meets the full device
+    ["bounds", "--gens", "3,5", "--n", "2048", "--mode", "equiv-divisor",
+     "--json"],
+], ids=["emit", "bounds-chunks"])
+def test_failed_stdout_write_exits_1_without_traceback(argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), os.environ.get("PYTHONPATH", "")]))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "agb.cli", *argv],
+                              env=env, stdout=full, stderr=subprocess.PIPE,
+                              text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("OSError: "), proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert "Exception ignored" not in proc.stderr, proc.stderr

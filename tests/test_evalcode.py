@@ -12,7 +12,7 @@ from agb.errors import (BudgetOutOfRange, DeltaOutOfRange, InvariantViolation,
                         UnreadableFile, UnsupportedParameter, UnwritableFile,
                         ZeroPivot)
 from agb.evalcode import EvaluationTable, chain_matrix, measured_dimensions
-from agb.bounds import lambda_profile
+from agb.bounds import improved_profile, lambda_profile
 
 from conftest import dot, star
 
@@ -424,8 +424,12 @@ def test_biorthogonal_adjust_rejects_nonzero_invalid_witness(herm2_table, x):
 def test_improved_generators_with_adjustment(herm2_table):
     chain = code_chain(herm2_table)
     x = find_isometry_vector(chain)
+    adjusted = biorthogonal_adjust(herm2_table, x)
+    hs = empirical_hstar(herm2_table)
     for delta in (2, 3, 4):
-        mat = improved_generators(herm2_table, delta, adjust=x)
+        indices = improved_profile(hs, delta).indices
+        mat = adjusted[[i - 1 for i in indices]]
+        assert mat.nrows == improved_generators(herm2_table, delta).nrows
         assert min_distance(mat) >= delta
 
 

@@ -68,7 +68,7 @@ def test_well_behaving_matches_definition_on_random_chain():
                                             star(fld, chain.basis[i - 1],
                                                  chain.basis[j - 1]))
                        for i in range(1, n + 1) for j in range(1, n + 1)}
-            wbp = chain.well_behaving()
+            wbp = chain._wbp_table()[1:, 1:]
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
                     expected = all(
@@ -76,7 +76,7 @@ def test_well_behaving_matches_definition_on_random_chain():
                         for r in range(1, i + 1) for s in range(1, j + 1)
                         if (r, s) != (i, j)
                     )
-                    assert ((i, j) in wbp) == expected
+                    assert wbp[i - 1, j - 1] == expected
 
 
 def test_nu_matches_rank_reference_on_random_chains():
@@ -101,31 +101,32 @@ def test_hermitian_lambda_counts_pinned(herm2_table, herm3_table):
 
 
 def test_pair_one_one_always_well_behaving(herm2_chain):
-    assert (1, 1) in herm2_chain.well_behaving()
+    assert herm2_chain._wbp_table()[1, 1]
 
 
 def test_hermitian_pairs_with_jump_sums_are_well_behaving(herm2_table,
                                                           herm2_chain):
     hs = empirical_hstar(herm2_table)
-    wbp = herm2_chain.well_behaving()
+    wbp = herm2_chain._wbp_table()
     for i in range(1, 9):
         for j in range(1, 9):
             if hs.m(i) + hs.m(j) in hs.member_set:
-                assert (i, j) in wbp
+                assert wbp[i, j]
 
 
 def test_generic_lambda_dominates_profile(herm2_table, herm2_chain):
     hs = empirical_hstar(herm2_table)
     profile = lambda_profile(hs)
+    counts = herm2_chain.lambda_counts()
     for i in range(1, 9):
-        assert len(herm2_chain.generic_lambda(i)) >= profile.count(i)
+        assert counts[i] >= profile.count(i)
         assert herm2_chain.generic_bound(i) >= d_star(hs, i)
 
 
 def test_generic_lambda_standard_basis():
     fld = field(2, 2)
     chain = CodeChain(fld, np.eye(4, dtype=np.int32))
-    assert 1 in chain.generic_lambda(1)
+    assert chain._wbp_table()[1, 1]
 
 
 def test_generic_bound_bounded_by_truth(herm2_table, herm2_chain):
@@ -161,7 +162,7 @@ def test_generic_bound_index_errors(herm2_chain):
     with pytest.raises(IndexOutOfRange):
         herm2_chain.generic_bound(0)
     with pytest.raises(IndexOutOfRange):
-        herm2_chain.generic_lambda(9)
+        herm2_chain.generic_bound(9)
 
 
 def test_chain_requires_full_rank():
@@ -232,13 +233,3 @@ def test_nu_rejects_wrong_length(herm2_chain):
     with pytest.raises(MatrixShapeMismatch):
         herm2_chain.nu(np.zeros(9, dtype=np.int32))
     assert issubclass(MatrixShapeMismatch, AgbError)
-
-
-def test_chain_from_matrix_file(tmp_path, herm2_table):
-    from agb import load_matrix, save_matrix
-    from agb.evalcode import chain_matrix
-    path = tmp_path / "chain.json"
-    save_matrix(chain_matrix(herm2_table), path)
-    chain = CodeChain.from_matrix(load_matrix(path))
-    assert chain.n == 8
-    assert chain.generic_bound(1) == 8

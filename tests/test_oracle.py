@@ -84,7 +84,8 @@ def test_budget_counts_the_monic_codewords_listed():
     assert min_distance(M, SearchBudget(341)) == 2
     with pytest.raises(BudgetExceeded) as exc:
         min_distance(M, SearchBudget(340))
-    assert (exc.value.required, exc.value.kind) == (341, "subspaces")
+    assert exc.value.required == 341
+    assert "subspaces" in str(exc.value)
 
 
 def test_whole_space_needs_no_search():
@@ -115,10 +116,11 @@ def test_budget_reports_the_cheaper_route():
 
 def test_min_distance_zero_code_rejected():
     f4 = field(2, 2)
+    zero = FieldMatrix(f4, np.zeros((2, 5), dtype=np.int32))
     with pytest.raises(ValueError):
-        min_distance(FieldMatrix.zeros(f4, 2, 5))
+        min_distance(zero)
     with pytest.raises(IndexOutOfRange):
-        min_distance(FieldMatrix.zeros(f4, 2, 5))
+        min_distance(zero)
 
 
 def test_weight_hierarchy_rejects_r_outside_dimension(herm2_table):
@@ -221,6 +223,17 @@ def test_isometry_vector_hermitian(herm2_table):
     assert len(x) == 8
     assert all(v != 0 for v in x)
     assert empirical_hstar(herm2_table).is_isometry_dual()
+
+
+def test_isometry_search_skips_a_column_zero_on_every_candidate():
+    # on the identity chain the pairs (a, a), a <= 8, force x_1..x_8 = 0,
+    # so no witness exists and no combination of the nullspace is tried
+    f4 = field(2, 2)
+    chain = CodeChain(f4, np.eye(16, dtype=np.int32))
+    with mock.patch.object(type(f4), "matmul",
+                           autospec=True, side_effect=type(f4).matmul) as mm:
+        assert find_isometry_vector(chain) is None
+    assert mm.call_count == 0
 
 
 def test_isometry_scaling_preserves_weight(herm2_table):

@@ -60,8 +60,8 @@ def test_planted_improved_matrix_gets_its_own_search(monkeypatch):
     honest = run_verification(table)
     real = evalcode.improved_generators
 
-    def planted(t, delta, adjust=None):
-        mat = real(t, delta, adjust)
+    def planted(t, delta):
+        mat = real(t, delta)
         if delta != 6:
             return mat
         data = mat.data.copy()
