@@ -5,9 +5,10 @@ the per-index sets ``(m_i + H) intersect H*``, the running-minimum distance
 bound, the Goppa comparison, the dual-side order bound via A-sets, improved
 code profiles, and the generalized-Hamming-weight extension.
 
-The profile counts come from the shifted-gap identity in O(n*g) time and
-O(n + g) memory; the sets themselves are built one index at a time, only
-where the generalized-weight sweep or a caller asks for them.
+The profile counts come from the shifted-gap identity in O(n*R) time and
+O(n + g) memory, R the number of runs of consecutive gaps; the sets
+themselves are built one index at a time, only where the
+generalized-weight sweep or a caller asks for them.
 
 A union of the sets at indices j_1..j_r is E ∩ H*, for E the ideal of H
 generated by m_j1..m_jr, so the generalized-weight bounds d*_r(i) come from
@@ -17,7 +18,6 @@ one depth-first sweep over those ideals, which answers every requested
 
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -81,20 +81,18 @@ class LambdaProfile:
 
 @lru_cache(maxsize=512)
 def lambda_profile(hs: HStar) -> LambdaProfile:
-    """Compute the profile counts of a jump set in O(n*g) time.
+    """Compute the profile counts of a jump set in O(n*R) time, R gap runs.
 
     Of the n - i + 1 members m >= m_i, m - m_i is either a semigroup member
-    or a gap, so count(i) = (n - i + 1) - #((m_i + gaps) intersect H*).  One
-    vectorised pass per gap over a membership vector of H* gives the counts.
+    or a gap, so count(i) = (n - i + 1) - #((m_i + gaps) intersect H*).  A
+    run [s, t) of consecutive gaps contributes P[m_i + t] - P[m_i + s], for
+    P the prefix sums of the membership vector of H*: one vectorised pass
+    per run gives the counts.
     """
     members = hs.members_array()
-    gaps = hs.semigroup.gaps
-    in_hstar = np.zeros(int(members[-1]) + hs.semigroup.conductor + 1,
-                        dtype=bool)
+    in_hstar = np.zeros(int(members[-1]) + 1, dtype=bool)
     in_hstar[members] = True
-    shifted_hits = np.zeros(hs.n, dtype=np.int64)
-    for gap in gaps:
-        shifted_hits += in_hstar[members + gap]
+    shifted_hits = hs.semigroup.count_shifted_gaps(in_hstar, members)
     return LambdaProfile(hs, np.arange(hs.n, 0, -1) - shifted_hits)
 
 
@@ -162,16 +160,21 @@ def a_counts_by_index(hs: HStar) -> np.ndarray:
     Of the h + 1 splits t + (h - t), each gap removes one as t and one as
     h - t, and a split into two gaps was removed twice, so #A(h) = h + 1 -
     2 #{gaps <= h} + #{(l, l') gaps : l + l' = h}: the A-set twin of the
-    shifted-gap identity.  The pairs are one self-convolution of the gap
-    indicator, zero from h = 2c - 1 on.
+    shifted-gap identity.  With r[k] = gap(2F - k), F the Frobenius number,
+    the pairs at h are the gaps l with r[2F - h + l] set: a shifted-gap
+    count, needed only at the jump values h <= 2F; no two gaps sum to more.
     """
     S = hs.semigroup
-    c = S.conductor
-    gap = (~S.membership_mask(c)[: c + 1]).astype(np.int64)
-    below = np.cumsum(gap)        # #{gaps <= h} at h = 0 .. c, then g
-    pairs = np.convolve(gap, gap)  # gap pairs summing to h = 0 .. 2c
     h = hs.members_array()
-    return h + 1 - 2 * below[np.minimum(h, c)] + pairs[np.minimum(h, 2 * c)]
+    gaps = np.array(S.gaps, dtype=np.int64)
+    counts = h + 1 - 2 * np.searchsorted(gaps, h, side="right")
+    top = 2 * S.frobenius
+    low = np.searchsorted(h, top, side="right")
+    if low:
+        reversed_gaps = np.zeros(top + 1, dtype=bool)
+        reversed_gaps[top - gaps] = True
+        counts[:low] += S.count_shifted_gaps(reversed_gaps, top - h[:low])
+    return counts
 
 
 def d_ord(hs: HStar, i: int) -> int:
@@ -360,30 +363,28 @@ def _ideal_sweep(hs: HStar, pairs, node_cap: int) -> dict:
     return {(r, i): best[r][bisect_left(cols, i)] for r, i in pairs}
 
 
-class BoundRow(NamedTuple):
-    i: int
-    m: int
-    lambda_count: int
-    d_star: int
-    goppa: int
-    d_ord: "int | None"
-
-
 class BoundTable(NamedTuple):
+    """The per-index table of ``agb bounds``, one list per column.
+
+    ``d_ord`` is None unless the jump set is isometry-dual.
+    """
     hstar: HStar
-    rows: tuple
+    m: list
+    lambda_count: list
+    d_star: list
+    goppa: list
+    d_ord: "list | None"
 
 
 def bound_table(hs: HStar) -> BoundTable:
     """Full per-index table: counts, running bound, Goppa value, order bound."""
     profile = lambda_profile(hs)
-    dord = repeat(None)
+    dord = None
     if hs.is_isometry_dual():
         dord = np.minimum.accumulate(a_counts_by_index(hs)[::-1]).tolist()
-    columns = zip(range(1, hs.n + 1), hs.members, profile.counts.tolist(),
-                  profile.d_star_vector().tolist(),
-                  (hs.n - hs.members_array()).tolist(), dord)
-    return BoundTable(hs, tuple(map(BoundRow._make, columns)))
+    return BoundTable(hs, list(hs.members), profile.counts.tolist(),
+                      profile.d_star_vector().tolist(),
+                      (hs.n - hs.members_array()).tolist(), dord)
 
 
 class GhwEntry(NamedTuple):

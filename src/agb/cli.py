@@ -139,9 +139,11 @@ def _cmd_hstar(parser, args) -> int:
 
 def _cmd_bounds(parser, args) -> int:
     hs = _resolve_hstar(parser, args)
-    rows = bounds_mod.bound_table(hs).rows
-    iso = hs.is_isometry_dual()
-    width = 6 if iso else 5  # d_ord, a row's last field, only when iso
+    table = bounds_mod.bound_table(hs)
+    iso = table.d_ord is not None
+    columns = [table.m, table.lambda_count, table.d_star, table.goppa]
+    if iso:
+        columns.append(table.d_ord)
     # JSON equal to json.dumps(payload, indent=2), pinned in test_golden.py
     if args.json:
         row = ('    {\n      "i": %d,\n      "m_i": %d,\n'
@@ -150,11 +152,14 @@ def _cmd_bounds(parser, args) -> int:
                + "\n    }")
         head = '{\n  "n": %d,\n  "mode": %s,\n  "rows": [\n' % (
             hs.n, json.dumps(hs.mode.value))
-        out = head + ",\n".join([row % r[:width] for r in rows]) + "\n  ]\n}\n"
+        sep, tail = ",\n", "\n  ]\n}\n"
     else:
         row = "%4d %5d %7d %7d %6d" + (" %6d" if iso else "")
-        head = "   i   m_i  lambda  d_star  goppa" + ("  d_ord" if iso else "")
-        out = "\n".join([head] + [row % r[:width] for r in rows]) + "\n"
+        head = ("   i   m_i  lambda  d_star  goppa"
+                + ("  d_ord" if iso else "") + "\n")
+        sep, tail = "\n", "\n"
+    rows = map(row.__mod__, zip(range(1, hs.n + 1), *columns))
+    out = head + sep.join(rows) + tail
     # in buffer-sized pieces: a reader that closed the pipe then raises
     # BrokenPipeError, where one larger write reports a short write and goes on
     for at in range(0, len(out), io.DEFAULT_BUFFER_SIZE):

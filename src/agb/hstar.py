@@ -7,13 +7,15 @@ invariants, so a successfully built ``HStar`` can be trusted downstream.
 """
 
 import enum
+import operator
 
 import numpy as np
 
 from .errors import (ClosureViolation, IndexOutOfRange,
-                     InternalInvariantViolation, LengthTooSmall,
-                     LowRangeMismatch, MalformedAbundance, MalformedChain,
-                     NotSubsetOfH, ResultInvalid, WrongCardinality)
+                     InternalInvariantViolation, InvariantViolation,
+                     LengthTooSmall, LowRangeMismatch, MalformedAbundance,
+                     MalformedChain, NotSubsetOfH, ResultInvalid,
+                     WrongCardinality)
 from .semigroup import NumericalSemigroup
 
 
@@ -43,8 +45,9 @@ class HStar:
 
     def __init__(self, semigroup: NumericalSemigroup, n: int, members, mode: HStarMode):
         self.semigroup = semigroup
-        self.n = int(n)
-        self.members = tuple(sorted(int(m) for m in members))
+        self.n = _require_length(semigroup, n)
+        self.members = tuple(sorted(
+            _integers(members, NotSubsetOfH, "members")))
         self._members_arr = _validate(semigroup, self.n, self.members)
         self.mode = mode
         self._member_set = frozenset(self.members)
@@ -56,8 +59,8 @@ class HStar:
     def from_explicit(cls, semigroup: NumericalSemigroup, n: int,
                       members) -> "HStar":
         """Wrap a caller-supplied jump set, ignoring order and repeats."""
-        return cls(semigroup, n, set(int(m) for m in members),
-                   HStarMode.EXPLICIT)
+        members = set(_integers(members, NotSubsetOfH, "members"))
+        return cls(semigroup, n, members, HStarMode.EXPLICIT)
 
     @classmethod
     def from_equiv_divisor(cls, semigroup: NumericalSemigroup, n: int) -> "HStar":
@@ -65,7 +68,7 @@ class HStar:
 
         Members are the semigroup elements below n together with n plus each gap.
         """
-        _require_length(semigroup, n)
+        n = _require_length(semigroup, n)
         members = semigroup.elements_up_to(n - 1)
         members.extend(n + l for l in semigroup.gaps)
         return cls(semigroup, n, members, HStarMode.EQUIV_DIVISOR)
@@ -78,7 +81,7 @@ class HStar:
         n+2g-1-m also a member, and as [0, n+2g-1] minus the gaps and their
         reflections n+2g-1-l.
         """
-        _require_length(semigroup, n)
+        n = _require_length(semigroup, n)
         top = n + 2 * semigroup.genus - 1
         mask = semigroup.membership_mask(top)
         sym = mask & mask[::-1]
@@ -93,7 +96,7 @@ class HStar:
             raise InternalInvariantViolation(
                 "the two isometry-dual constructions disagree"
             )
-        return cls(semigroup, n, members, HStarMode.ISOMETRY_DUAL)
+        return cls(semigroup, n, members.tolist(), HStarMode.ISOMETRY_DUAL)
 
     @classmethod
     def from_abundance(cls, semigroup: NumericalSemigroup, n: int, ell) -> "HStar":
@@ -102,9 +105,9 @@ class HStar:
         A budget m is a jump exactly when m is a semigroup member and the
         kernel dimension does not grow at m (ell(-1) counts as 0).
         """
-        _require_length(semigroup, n)
+        n = _require_length(semigroup, n)
         g = semigroup.genus
-        ell = [int(x) for x in ell]
+        ell = _integers(ell, MalformedAbundance, "kernel dimensions")
         top = n + 2 * g - 1
         if len(ell) != top + 1:
             raise MalformedAbundance(
@@ -136,7 +139,7 @@ class HStar:
         is the final (saturated) value.  Jumps are the positions where the
         dimension grows, with dim(-1) = 0.
         """
-        dims = [int(d) for d in dims]
+        dims = _integers(dims, MalformedChain, "dimensions")
         if not dims:
             raise MalformedChain("empty dimension sequence")
         steps = np.diff(np.concatenate(([0], dims)))
@@ -199,11 +202,27 @@ class HStar:
                 f"semigroup={self.semigroup!r})")
 
 
-def _require_length(semigroup: NumericalSemigroup, n: int) -> None:
+def _integers(values, error: type, what: str) -> list:
+    """``values`` as ints; anything but Python or numpy integers raises
+    ``error``."""
+    try:
+        return list(map(operator.index, values))
+    except TypeError:
+        raise error(f"{what} must be integers") from None
+
+
+def _require_length(semigroup: NumericalSemigroup, n) -> int:
+    """The length n as an int, once it is an integer above 2g+2."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise InvariantViolation(
+            f"length must be an integer, got {n!r}") from None
     if n <= 2 * semigroup.genus + 2:
         raise LengthTooSmall(
             f"length {n} must exceed 2g+2 = {2 * semigroup.genus + 2}"
         )
+    return n
 
 
 def _validate(semigroup: NumericalSemigroup, n: int, members) -> np.ndarray:
@@ -235,15 +254,17 @@ def _validate(semigroup: NumericalSemigroup, n: int, members) -> np.ndarray:
         raise WrongCardinality(
             f"expected {g} members in [{n}, {top}]"
         )
-    # Absent m >= n propagates: m + h must be absent for every member h.
-    for m in range(n, top + 1):
-        if in_set[m]:
-            continue
-        # all m' in [m, top] with m' - m a member must be absent
-        reach = mask[: top - m + 1]
-        if np.any(in_set[m: top + 1] & reach):
-            bad = int(np.nonzero(in_set[m: top + 1] & reach)[0][0])
-            raise ClosureViolation(
-                f"{m} is absent but {m + bad} = {m} + {bad} is present"
-            )
+    # Absent m >= n propagates: m + h must be absent for every member h.  Of
+    # the members in [m, top], each lies at m plus a semigroup member or at
+    # m plus a gap, so all of them must lie at gaps; one pass per run of
+    # gaps counts those for every absent m at once.
+    absent = np.nonzero(~in_set[n:])[0] + n
+    at_gaps = semigroup.count_shifted_gaps(in_set, absent)
+    bad = np.nonzero(at_gaps != n - np.searchsorted(members, absent))[0]
+    if len(bad):
+        m = int(absent[bad[0]])
+        h = int(np.nonzero(in_set[m:] & mask[: top - m + 1])[0][0])
+        raise ClosureViolation(
+            f"{m} is absent but {m + h} = {m} + {h} is present"
+        )
     return members

@@ -7,6 +7,7 @@ conductor is a member.
 """
 
 import heapq
+import operator
 from functools import reduce
 from math import gcd
 
@@ -66,12 +67,15 @@ def _check_limit(limit: int) -> None:
 class NumericalSemigroup:
     """Numerical semigroup with precomputed gaps, genus and Frobenius number.
 
+    ``gap_runs`` lists the maximal runs of consecutive gaps as [start, stop)
+    pairs: <4,5> has gaps 1,2,3,6,7,11 and runs (1,4), (6,8), (11,12).
+
     Instances are immutable after construction and safe to share across
     threads.  Use :meth:`from_generators` to build one.
     """
 
-    __slots__ = ("generators", "gaps", "genus", "frobenius", "conductor",
-                 "_bitmap", "_small_members", "_mask", "_hash")
+    __slots__ = ("generators", "gaps", "gap_runs", "genus", "frobenius",
+                 "conductor", "_bitmap", "_small_members", "_mask", "_hash")
 
     def __init__(self, generators, gaps):
         self.generators = tuple(generators)
@@ -80,6 +84,9 @@ class NumericalSemigroup:
         self.frobenius = self.gaps[-1] if self.gaps else -1
         self.conductor = self.frobenius + 1
         gapset = set(self.gaps)
+        self.gap_runs = tuple(zip(
+            (l for l in self.gaps if l - 1 not in gapset),
+            (l + 1 for l in self.gaps if l + 1 not in gapset)))
         self._bitmap = [i not in gapset for i in range(self.conductor)]
         self._small_members = tuple(
             i for i in range(self.conductor) if self._bitmap[i]
@@ -90,7 +97,11 @@ class NumericalSemigroup:
     @classmethod
     def from_generators(cls, gens) -> "NumericalSemigroup":
         """Semigroup generated by ``gens``; requires gcd 1 and all gens >= 1."""
-        gens = sorted(set(int(g) for g in gens))
+        try:
+            gens = sorted(set(map(operator.index, gens)))
+        except TypeError:
+            raise NonPositiveGenerator(
+                "generators must be positive integers") from None
         if not gens:
             raise EmptyGenerators("at least one generator is required")
         if gens[0] < 1:
@@ -141,6 +152,28 @@ class NumericalSemigroup:
             mask.setflags(write=False)
             self._mask = mask
         return self._mask[: limit + 1]
+
+    def count_shifted_gaps(self, indicator: np.ndarray,
+                           at: np.ndarray) -> np.ndarray:
+        """#{gaps l : indicator[v + l]} for each v in ``at``.
+
+        Every v must be below len(indicator); positions past the end of the
+        boolean ``indicator`` count as false.
+        A lone gap l adds indicator[v + l], one gather; a longer run [s, t)
+        of gaps adds P[v + t] - P[v + s], two gathers of the prefix sums P of
+        the indicator.  So no run costs more than its gaps one at a time.
+        """
+        padded = np.concatenate(
+            (indicator, np.zeros(self.conductor, dtype=bool)))
+        prefix = np.cumsum(np.concatenate(([False], padded)))
+        hits = np.zeros(len(at), dtype=np.int64)
+        for start, stop in self.gap_runs:
+            if stop - start == 1:
+                hits += padded[start:][at]
+            else:
+                hits += prefix[stop:][at]
+                hits -= prefix[start:][at]
+        return hits
 
     # -- plumbing -------------------------------------------------------
 

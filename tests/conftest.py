@@ -5,9 +5,13 @@ from operator import or_
 
 import numpy as np
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from agb import FieldMatrix, HStar, NumericalSemigroup, hermitian_table, rref
-from agb.errors import DependentInput, MatrixShapeMismatch
+from agb.errors import (ClosureViolation, DependentInput, LowRangeMismatch,
+                        MatrixShapeMismatch, NotSubsetOfH, WrongCardinality)
+from agb.hstar import _require_length
 
 # #Λ*_i for i = 1..64 on the Suzuki jump set over <8,10,12,13>, n = 64.
 # Independently derived (reachability sieve + direct set intersection, also
@@ -44,6 +48,90 @@ def dense_profile(hs):
     packed = np.packbits(ok, axis=1, bitorder="little")
     masks = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
     return tuple(int(c) for c in ok.sum(axis=1)), masks
+
+
+def profile_counts_per_gap(hs):
+    """The profile counts by the shifted-gap identity, one pass per gap.
+
+    count(i) = (n - i + 1) - #((m_i + gaps) ∩ H*), with each gap adding its
+    hits over a membership vector of H*; the reference for the library's
+    one pass per run of gaps.
+    """
+    members = hs.members_array()
+    in_hstar = np.zeros(int(members[-1]) + hs.semigroup.conductor + 1,
+                        dtype=bool)
+    in_hstar[members] = True
+    shifted_hits = np.zeros(hs.n, dtype=np.int64)
+    for gap in hs.semigroup.gaps:
+        shifted_hits += in_hstar[members + gap]
+    return np.arange(hs.n, 0, -1) - shifted_hits
+
+
+def a_counts_convolved(hs):
+    """#A(m_i) for every jump value, the gap pairs by one self-convolution.
+
+    #A(h) = h + 1 - 2 #{gaps <= h} + #{(l, l') gaps : l + l' = h}, with the
+    pairs read off the O(c^2) convolution of the gap indicator; the
+    reference for the library's prefix sums over runs of gaps.
+    """
+    S = hs.semigroup
+    c = S.conductor
+    gap = (~S.membership_mask(c)[: c + 1]).astype(np.int64)
+    below = np.cumsum(gap)
+    pairs = np.convolve(gap, gap)
+    h = hs.members_array()
+    return h + 1 - 2 * below[np.minimum(h, c)] + pairs[np.minimum(h, 2 * c)]
+
+
+def validate_per_m(semigroup, n, members):
+    """Every invariant of a sorted jump set, closure one absent m at a time.
+
+    The reference for ``agb.hstar._validate``: the same checks in the same
+    order with the same messages, but each absent m in [n, n+2g-1] is
+    checked by its own pass over the jump set.
+    """
+    _require_length(semigroup, n)
+    g = semigroup.genus
+    top = n + 2 * g - 1
+    members = np.asarray(members, dtype=np.int64)
+    if len(members) != n:
+        raise WrongCardinality(f"expected {n} members, got {len(members)}")
+    if len(members) and (members[0] < 0 or members[-1] > top):
+        raise NotSubsetOfH(f"members must lie in [0, {top}]")
+    mask = semigroup.membership_mask(top)
+    if not mask[members].all():
+        raise NotSubsetOfH("members must belong to the semigroup")
+    in_set = np.zeros(top + 1, dtype=bool)
+    in_set[members] = True
+    if not np.array_equal(in_set[:n], mask[:n]):
+        raise LowRangeMismatch(
+            "below n the jump set must match the semigroup exactly"
+        )
+    if int(in_set[n:].sum()) != g:
+        raise WrongCardinality(f"expected {g} members in [{n}, {top}]")
+    for m in range(n, top + 1):
+        if in_set[m]:
+            continue
+        # all m' in [m, top] with m' - m a member must be absent
+        reach = mask[: top - m + 1]
+        if np.any(in_set[m: top + 1] & reach):
+            bad = int(np.nonzero(in_set[m: top + 1] & reach)[0][0])
+            raise ClosureViolation(
+                f"{m} is absent but {m + bad} = {m} + {bad} is present"
+            )
+    return members
+
+
+@st.composite
+def semigroup_and_length(draw):
+    """A semigroup of multiplicity <= 7 and a length 2g+3 <= n <= 2g+40."""
+    mult = draw(st.integers(1, 7))
+    others = draw(st.lists(st.integers(mult + 1, 5 * mult + 10),
+                           max_size=3, unique=True))
+    gens = [mult, *others]
+    assume(reduce(gcd, gens) == 1)
+    S = NumericalSemigroup.from_generators(gens)
+    return S, draw(st.integers(2 * S.genus + 3, 2 * S.genus + 40))
 
 
 def ghw_bound_naive(hs, i, r):

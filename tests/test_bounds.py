@@ -4,7 +4,7 @@ from math import gcd
 from operator import or_
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from agb import (HStar, NumericalSemigroup, a_set, bound_table, d_ord, d_star,
@@ -14,8 +14,9 @@ from agb.bounds import a_counts_by_index
 from agb.errors import (DeltaOutOfRange, EnumerationCapExceeded,
                         IndexOutOfRange, NotAMember, NotIsometryDual)
 
-from conftest import (SUZUKI_TRUE_COUNTS, dense_profile, ghw_bound_naive,
-                      sieve_membership)
+from conftest import (SUZUKI_TRUE_COUNTS, a_counts_convolved, dense_profile,
+                      ghw_bound_naive, profile_counts_per_gap,
+                      semigroup_and_length, sieve_membership)
 
 TWO_THREE_COUNTS = (8, 6, 5, 4, 3, 2, 2, 1)
 
@@ -123,6 +124,20 @@ def test_a_counts_by_index_match_a_sets_over_small_family(small_family,
             hs = build(S, n)
             assert a_counts_by_index(hs).tolist() == \
                 [len(a_set(S, h)) for h in hs.members], (S, n)
+
+
+# <1> has no gaps, <2,11> five runs of one gap, <6,..,11> one run of five
+@settings(max_examples=100, deadline=None)
+@given(semigroup_and_length(), st.booleans())
+@example((NumericalSemigroup.from_generators([1]), 7), True)
+@example((NumericalSemigroup.from_generators([2, 11]), 13), False)
+@example((NumericalSemigroup.from_generators(range(6, 12)), 20), True)
+def test_run_counts_match_per_gap_references(case, dual):
+    S, n = case
+    hs = (HStar.from_isometry_dual if dual else HStar.from_equiv_divisor)(S, n)
+    assert lambda_profile.__wrapped__(hs).counts.tolist() == \
+        profile_counts_per_gap(hs).tolist()
+    assert a_counts_by_index(hs).tolist() == a_counts_convolved(hs).tolist()
 
 
 def _traced_peak_mib(fn, *args):
@@ -485,23 +500,23 @@ def test_ghw_r_near_i_answers_under_small_cap():
 
 def test_bound_table_structure(suzuki_hstar, f16_hstar):
     table = bound_table(suzuki_hstar)
-    assert len(table.rows) == 64
-    row = table.rows[54]
-    assert row.i == 55 and row.m == 69 and row.d_star == 4
-    assert row.d_ord == 4  # isometry-dual, so the column is populated
+    assert all(len(col) == 64 for col in table[1:])
+    assert table.m[54] == 69 and table.d_star[54] == 4
+    assert table.d_ord[54] == 4  # isometry-dual, so the column is populated
     ftable = bound_table(f16_hstar)
-    assert all(r.d_ord is None for r in ftable.rows)
-    assert [r.lambda_count for r in table.rows] == list(SUZUKI_TRUE_COUNTS)
+    assert ftable.d_ord is None
+    assert table.lambda_count == list(SUZUKI_TRUE_COUNTS)
 
 
 def test_bound_table_d_ord_column_matches_running_min(klein_hstar):
     table = bound_table(klein_hstar)
     acounts = a_counts_by_index(klein_hstar)
     best = None
-    for row in table.rows:
-        val = int(acounts[klein_hstar.n - row.i])
+    for i, dord, ds in zip(range(1, klein_hstar.n + 1), table.d_ord,
+                           table.d_star):
+        val = int(acounts[klein_hstar.n - i])
         best = val if best is None else min(best, val)
-        assert row.d_ord == best == row.d_star
+        assert dord == best == ds
 
 
 def test_ghw_table(klein_hstar):

@@ -62,16 +62,18 @@ def assert_same_text(got, want):
 
 
 def _bounds_outputs(hs):
-    """What ``agb bounds`` prints for hs, from the library's rows: the JSON
+    """What ``agb bounds`` prints for hs, from the library's columns: the JSON
     through ``json.dumps(indent=2)``, the text through per-field f-strings."""
     iso = hs.is_isometry_dual()
     rows, lines = [], [f"{'i':>4} {'m_i':>5} {'lambda':>7} {'d_star':>7} "
                        f"{'goppa':>6}" + (f" {'d_ord':>6}" if iso else "")]
-    for r in bound_table(hs).rows:
-        item = {"i": r.i, "m_i": r.m, "lambda_count": r.lambda_count,
-                "d_star": r.d_star, "goppa": r.goppa}
+    table = bound_table(hs)
+    for k in range(hs.n):
+        item = {"i": k + 1, "m_i": table.m[k],
+                "lambda_count": table.lambda_count[k],
+                "d_star": table.d_star[k], "goppa": table.goppa[k]}
         if iso:
-            item["d_ord"] = r.d_ord
+            item["d_ord"] = table.d_ord[k]
         rows.append(item)
         lines.append(" ".join(f"{v:>{w}}" for v, w in
                               zip(item.values(), (4, 5, 7, 7, 6, 6))))

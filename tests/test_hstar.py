@@ -1,18 +1,18 @@
 from bisect import bisect_right
-from functools import reduce
-from math import gcd
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agb import HStar, HStarMode, NumericalSemigroup
 from agb.errors import (AgbError, ClosureViolation, IndexOutOfRange,
-                        LengthTooSmall, LowRangeMismatch, MalformedAbundance,
-                        MalformedChain, NotSubsetOfH, ResultInvalid,
-                        WrongCardinality)
+                        InvariantViolation, LengthTooSmall, LowRangeMismatch,
+                        MalformedAbundance, MalformedChain, NotSubsetOfH,
+                        ResultInvalid, WrongCardinality)
+from agb.hstar import _validate
 
-from conftest import sieve_membership
+from conftest import semigroup_and_length, sieve_membership, validate_per_m
 
 TWO_THREE_8 = (0, 2, 3, 4, 5, 6, 7, 9)
 
@@ -152,6 +152,79 @@ def test_each_constructor_validates_once(two_three, monkeypatch):
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize("bad", [9.7, "0", float("nan"), None])
+def test_explicit_members_must_be_integers(two_three, bad):
+    # the last member once went through int(), so 9.7 was taken as 9 and
+    # "0" as 0
+    with pytest.raises(NotSubsetOfH):
+        HStar.from_explicit(two_three, 8, [0, 2, 3, 4, 5, 6, 7, bad])
+    with pytest.raises(NotSubsetOfH):
+        HStar(two_three, 8, [0, 2, 3, 4, 5, 6, 7, bad], HStarMode.EXPLICIT)
+
+
+@pytest.mark.parametrize("bad", [8.9, 8.0, "8", None])
+def test_length_must_be_an_integer(two_three, bad):
+    for build in (HStar.from_equiv_divisor, HStar.from_isometry_dual,
+                  lambda S, n: HStar.from_explicit(S, n, TWO_THREE_8),
+                  lambda S, n: HStar(S, n, TWO_THREE_8, HStarMode.EXPLICIT)):
+        with pytest.raises(InvariantViolation):
+            build(two_three, bad)
+
+
+def test_numpy_integers_are_accepted(two_three):
+    members = np.array(TWO_THREE_8, dtype=np.int64)
+    hs = HStar.from_explicit(two_three, np.int64(8), members)
+    assert hs == HStar.from_equiv_divisor(two_three, np.int32(8))
+    assert type(hs.n) is int and all(type(m) is int for m in hs.members)
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args).tolist()
+    except AgbError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def jump_set_candidates(draw):
+    """A semigroup, a length n and n sorted candidate jump values.
+
+    The semigroup below n and g values drawn from [n, n+2g-1], so most
+    candidates reach the closure check; then, half the time, one value
+    replaced by any in [-1, n+2g].
+    """
+    S, n = draw(semigroup_and_length())
+    g = S.genus
+    top = n + 2 * g - 1
+    members = S.elements_up_to(n - 1) + draw(
+        st.permutations(range(n, top + 1)))[:g]
+    if draw(st.booleans()):
+        members[draw(st.integers(0, n - 1))] = draw(st.integers(-1, top + 1))
+    return S, n, sorted(members)
+
+
+def _g_values_above_n(gens, skip):
+    """The semigroup below n, then g consecutive values from n + skip."""
+    S = NumericalSemigroup.from_generators(gens)
+    n, g = 2 * S.genus + 5, S.genus
+    return S, n, S.elements_up_to(n - 1) + list(range(n + skip, n + skip + g))
+
+
+# <1> has no gaps, <2,11> five runs of one gap, <6,..,11> one run of five;
+# the first g values above n are closed, the last g are not (for g > 0)
+@settings(max_examples=200, deadline=None)
+@given(jump_set_candidates())
+@example(_g_values_above_n([1], 0))
+@example(_g_values_above_n([2, 11], 0))
+@example(_g_values_above_n([2, 11], 5))
+@example(_g_values_above_n(range(6, 12), 0))
+@example(_g_values_above_n(range(6, 12), 5))
+def test_validate_matches_per_m_closure_reference(case):
+    S, n, members = case
+    assert _outcome(_validate, S, n, members) == \
+        _outcome(validate_per_m, S, n, members)
+
+
 def test_length_too_small(two_three):
     with pytest.raises(LengthTooSmall):
         HStar.from_equiv_divisor(two_three, 4)
@@ -216,6 +289,20 @@ def test_dimension_chain_rejects_constant(two_three):
 def test_dimension_chain_rejects_big_step(two_three):
     with pytest.raises(MalformedChain):
         HStar.from_dimension_chain([1, 1, 3, 4, 5, 6, 7, 8, 8, 8], two_three)
+
+
+def test_sequences_must_be_integers(two_three):
+    # both once went through int(), so these truncated to the (2,3) n = 8
+    # jump set, with 8.9 read as the length 8
+    with pytest.raises(MalformedAbundance):
+        HStar.from_abundance(two_three, 8, [0.7] * 8 + [1.2, 1.9])
+    with pytest.raises(MalformedChain):
+        HStar.from_dimension_chain([1.5, 1, 2, 3, 4, 5, 6, 7, 7, 8.9],
+                                   two_three)
+    ell = np.array([0] * 8 + [1, 1], dtype=np.int64)
+    dims = np.array([1, 1, 2, 3, 4, 5, 6, 7, 7, 8], dtype=np.int32)
+    assert HStar.from_abundance(two_three, 8, ell).members == TWO_THREE_8
+    assert HStar.from_dimension_chain(dims, two_three).members == TWO_THREE_8
 
 
 def test_is_isometry_dual_flags(klein_hstar, f16_hstar):
@@ -283,18 +370,6 @@ def test_constructors_cross_validate_through_derived_sequences(suzuki):
                for b in range(top + 1)]
         assert HStar.from_dimension_chain(dims, S) == hs
         assert HStar.from_abundance(S, n, ell) == hs
-
-
-@st.composite
-def semigroup_and_length(draw):
-    """A semigroup of multiplicity <= 7 and a length 2g+3 <= n <= 2g+40."""
-    mult = draw(st.integers(1, 7))
-    others = draw(st.lists(st.integers(mult + 1, 5 * mult + 10),
-                           max_size=3, unique=True))
-    gens = [mult, *others]
-    assume(reduce(gcd, gens) == 1)
-    S = NumericalSemigroup.from_generators(gens)
-    return S, draw(st.integers(2 * S.genus + 3, 2 * S.genus + 40))
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from agb import NumericalSemigroup
@@ -134,6 +135,10 @@ def test_desk_scale_guard():
     ([10007, 10009], BeyondDeskScale),
     # the least generator alone already forces 10^7 gaps
     ([10 ** 7 + 1, 10 ** 7 + 2], BeyondDeskScale),
+    # once cast with int(): [2.5, 3] gave <2,3>
+    ([2.5, 3], NonPositiveGenerator),
+    (["2", 3], NonPositiveGenerator),
+    ([float("nan"), 3], NonPositiveGenerator),
 ])
 def test_guard_errors_are_agb_errors(gens, error):
     with pytest.raises(error) as exc:
@@ -145,3 +150,30 @@ def test_listing_past_desk_scale_is_refused(suzuki):
     for listing in (suzuki.elements_up_to, suzuki.membership_mask):
         with pytest.raises(BeyondDeskScale):
             listing(10 ** 7 + 1)
+
+
+def test_numpy_integer_generators_are_accepted():
+    S = NumericalSemigroup.from_generators(np.array([5, 3], dtype=np.int64))
+    assert S == NumericalSemigroup.from_generators([3, 5])
+    assert all(type(g) is int for g in S.generators)
+
+
+def test_gap_runs_are_the_maximal_runs_of_gaps():
+    assert NumericalSemigroup.from_generators([1]).gap_runs == ()
+    assert NumericalSemigroup.from_generators([4, 5]).gap_runs == \
+        ((1, 4), (6, 8), (11, 12))
+    # <2, 2g+1>: g runs of one gap; <g+1, .., 2g+1>: one run of g
+    assert NumericalSemigroup.from_generators([2, 11]).gap_runs == \
+        tuple((l, l + 1) for l in (1, 3, 5, 7, 9))
+    assert NumericalSemigroup.from_generators(range(6, 12)).gap_runs == \
+        ((1, 6),)
+    assert len(NumericalSemigroup.from_generators([32, 33]).gap_runs) == 31
+    rng = random.Random(20261019)
+    for _ in range(40):
+        gens = sorted(rng.sample(range(2, 25), rng.randint(1, 4)))
+        gens.append(gens[-1] + 1)
+        S = NumericalSemigroup.from_generators(gens)
+        runs = S.gap_runs
+        assert [l for a, b in runs for l in range(a, b)] == list(S.gaps)
+        # maximal: a member separates each run from the next
+        assert all(b < a2 for (_, b), (a2, _) in zip(runs, runs[1:]))
