@@ -41,7 +41,7 @@ class EvaluationTable:
     Invariants (checked on construction): pole orders are integers, not
     bools, strictly increasing and equal to the semigroup members up to
     n+2g-1; the pole-order-0 row is the all-ones vector; every value is an
-    integer in [0, q), checked before the int32 cast.
+    integer in [0, q), checked before the cast to the element type.
     """
 
     __slots__ = ("field", "points", "functions", "semigroup", "_pivots",
@@ -86,14 +86,14 @@ class EvaluationTable:
                 raise InvariantViolation(
                     f"row of pole order {f.pole_order} has wrong length"
                 )
-        if not np.array_equal(self.functions[0].values, np.ones(n, dtype=np.int32)):
+        if not (self.functions[0].values == 1).all():
             raise InvariantViolation("the pole-order-0 row must be all ones")
 
     def rows_up_to(self, m: int) -> np.ndarray:
         """Stacked value rows for all pole orders <= m."""
         rows = [f.values for f in self.functions if f.pole_order <= m]
         if not rows:
-            return np.zeros((0, self.n), dtype=np.int32)
+            return field_array(self.field, np.zeros((0, self.n), dtype=int))
         return np.stack(rows)
 
 
@@ -202,7 +202,7 @@ def biorthogonal_adjust(table: EvaluationTable, x) -> FieldMatrix:
     hs = empirical_hstar(table)
     if not hs.is_isometry_dual():
         raise NotIsometryDual("the measured chain is not isometry-dual")
-    x = np.asarray(x, dtype=np.int32)
+    x = field_array(fld, x)
     n = hs.n
     if x.shape != (n,) or not (x != 0).all():
         raise NotIsometryDual("witness must have n nonzero coordinates")
@@ -212,7 +212,7 @@ def biorthogonal_adjust(table: EvaluationTable, x) -> FieldMatrix:
     if not pivots.all():
         row = int(np.flatnonzero(pivots == 0)[0]) + 1
         raise ZeroPivot(f"mirror pairing vanished at row {row}; invalid witness")
-    inverses = np.array([fld.inv(int(d)) for d in pivots], dtype=np.int32)
+    inverses = field_array(fld, [fld.inv(int(d)) for d in pivots])
     coefs = fld.neg_arrays(fld.mul_arrays(pair, inverses[None, :]))
     adj = w.copy()
     for s in range(1, n):

@@ -11,7 +11,7 @@ and the running minimum bounds the minimum distance of every C_i.
 import numpy as np
 
 from .errors import DependentInput, IndexOutOfRange, MatrixShapeMismatch
-from .gf import FieldMatrix, FiniteField, rref
+from .gf import FieldMatrix, FiniteField, field_array, rref
 
 
 class CodeChain:
@@ -24,7 +24,7 @@ class CodeChain:
         if self.basis.shape[1] != n:
             raise DependentInput("a chain needs n independent vectors of length n")
         # [B | I] reduces to [I | B^-1] exactly when B is invertible
-        augmented = np.hstack([self.basis, np.eye(n, dtype=np.int32)])
+        augmented = np.hstack([self.basis, np.eye(n, dtype=int)])
         red = rref(FieldMatrix(fld, augmented))
         if red.pivots != tuple(range(n)):
             raise DependentInput("basis vectors are linearly dependent")
@@ -33,7 +33,7 @@ class CodeChain:
 
     def nu(self, v) -> int:
         """First chain level containing v; 0 for the zero vector."""
-        v = np.asarray(v, dtype=np.int32)
+        v = field_array(self.field, v)
         if v.shape != (self.n,):
             raise MatrixShapeMismatch(f"expected a vector of length {self.n}")
         return int(self._levels(v))
@@ -41,7 +41,6 @@ class CodeChain:
     def _levels(self, vectors) -> np.ndarray:
         """nu of each vector along the last axis: one plus the index of its
         last nonzero coordinate, or 0 for the zero vector."""
-        vectors = np.asarray(vectors, dtype=np.int32)
         coords = self.field.matmul(vectors.reshape(-1, self.n), self._inverse)
         nonzero = coords.reshape(vectors.shape) != 0
         last = self.n - np.argmax(nonzero[..., ::-1], axis=-1)

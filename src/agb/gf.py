@@ -11,6 +11,7 @@ variants cover whole numpy arrays so exhaustive searches stay cheap; they add
 by XOR in characteristic 2, where that beats a table read.  :func:`rref`, a
 Gauss-Jordan pass whose loop runs over columns, is the one elimination:
 ranks, dual codes, code chains and measured dimensions are all read off it.
+Every array holds its elements as one byte, the type ``ELEMENT``.
 """
 
 import json
@@ -24,6 +25,7 @@ from .errors import (DivisionByZero, InvariantViolation, MatrixShapeMismatch,
 
 _SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
 _MAX_ORDER = 256
+ELEMENT = np.uint8  # the one type of a field element; q <= _MAX_ORDER fits
 
 
 def _mul_table(p: int, k: int, modulus: int) -> np.ndarray:
@@ -43,7 +45,7 @@ def _mul_table(p: int, k: int, modulus: int) -> np.ndarray:
         up = np.hstack([np.zeros_like(prev[:, :1]), prev[:, :-1]])
         shifted.append((up - prev[:, -1:] * lower) % p)
     prod = np.einsum("bj,jax->abx", digits, np.stack(shifted)) % p
-    return (prod @ place).astype(np.int32)
+    return (prod @ place).astype(ELEMENT)
 
 
 class FiniteField:
@@ -69,16 +71,17 @@ class FiniteField:
         place = p ** np.arange(k)
         digits = np.arange(q)[:, None] // place % p
         self._add = ((digits[:, None, :] + digits[None, :, :]) % p
-                     @ place).astype(np.int32)
-        self._neg = ((-digits) % p @ place).astype(np.int32)
+                     @ place).astype(ELEMENT)
+        self._neg = ((-digits) % p @ place).astype(ELEMENT)
         # _pow[a, e] = a^e for e < q - 1, a column at a time
-        self._pow = np.ones((q, q - 1), dtype=np.int32)
+        self._pow = np.ones((q, q - 1), dtype=ELEMENT)
         for e in range(1, q - 1):
             self._pow[:, e] = self._mul[self._pow[:, e - 1], np.arange(q)]
 
     def _gather(self, table: np.ndarray, x, y) -> np.ndarray:
-        """table[x, y] with broadcasting, through one flat index."""
-        return table.reshape(-1)[x * self.q + y]
+        """table[x, y] with broadcasting, through one flat index x * q + y,
+        widened to uint16 (below q^2 <= 65536): in one byte it would wrap."""
+        return table.take(x.astype(np.uint16) * self.q + y)
 
     # -- scalar arithmetic ----------------------------------------------
 
@@ -109,30 +112,30 @@ class FiniteField:
 
     def add_arrays(self, x, y):
         """Elementwise field addition with numpy broadcasting."""
-        x = np.asarray(x, dtype=np.int32)
-        y = np.asarray(y, dtype=np.int32)
+        x = np.asarray(x, dtype=ELEMENT)
+        y = np.asarray(y, dtype=ELEMENT)
         if self.p == 2:
             return np.bitwise_xor(x, y)
         return self._gather(self._add, x, y)
 
     def neg_arrays(self, x):
-        return self._neg[np.asarray(x, dtype=np.int32)]
+        return self._neg[np.asarray(x, dtype=ELEMENT)]
 
     def mul_arrays(self, x, y):
         """Elementwise field multiplication with numpy broadcasting."""
-        x = np.asarray(x, dtype=np.int32)
-        y = np.asarray(y, dtype=np.int32)
+        x = np.asarray(x, dtype=ELEMENT)
+        y = np.asarray(y, dtype=ELEMENT)
         return self._gather(self._mul, x, y)
 
     def scale_array(self, lam: int, x):
         """lam times each entry of x."""
-        return self._mul[lam][np.asarray(x, dtype=np.int32)]
+        return self._mul[lam][np.asarray(x, dtype=ELEMENT)]
 
     def matmul(self, a, b):
         """Field matrix product of 2-D arrays (r x k) @ (k x n)."""
-        a = np.asarray(a, dtype=np.int32)
-        b = np.asarray(b, dtype=np.int32)
-        out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int32)
+        a = np.asarray(a, dtype=ELEMENT)
+        b = np.asarray(b, dtype=ELEMENT)
+        out = np.zeros((a.shape[0], b.shape[1]), dtype=ELEMENT)
         for j in range(a.shape[1]):
             col = a[:, j]
             if not col.any():
@@ -161,7 +164,7 @@ def field(p: int, k: int) -> FiniteField:
 
 
 def field_array(fld: FiniteField, data) -> np.ndarray:
-    """data as an int32 array, once every entry is an integer in [0, q).
+    """data as an ``ELEMENT`` array, once every entry is an integer in [0, q).
 
     Checked before the cast, which would wrap or truncate; anything else,
     ragged nesting included, raises :class:`InvariantViolation`.
@@ -173,7 +176,7 @@ def field_array(fld: FiniteField, data) -> np.ndarray:
     if arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0
                      or arr.max() >= fld.q):
         raise InvariantViolation(f"entries must be integers in [0, {fld.q})")
-    return arr.astype(np.int32)
+    return arr.astype(ELEMENT)
 
 
 class FieldMatrix:

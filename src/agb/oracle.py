@@ -3,10 +3,10 @@
 One exhaustive search lists each r-dimensional subcode once, by its reduced
 echelon basis, for the true generalized Hamming weights; the minimum distance
 is its r = 1 case, which lists the monic codewords.  Its inner loop does no
-field arithmetic: each basis is a head plus an offset from one uint8 block,
-the span of the last free coefficients, and its support is where the block
-differs from the head, counted in the least dtype that holds n.  The block
-is built once per run of pivot sets with the same free tail.
+field arithmetic: each basis is a head plus an offset from one block, the
+span of the last free coefficients, and its support is where the block
+differs from the head, counted in the least dtype that holds n.  The block,
+in the element type, is built once per run of pivot sets with the same tail.
 
 Each query runs that search on whichever of C and its dual C⊥ lists fewer
 subspaces.  Through C⊥ it reads d_r(C) off Wei duality (Wei 1991): the
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import (BudgetExceeded, IndexOutOfRange,
                      InternalInvariantViolation, InvalidSearchBudget)
-from .gf import FieldMatrix, FiniteField, RowReduction, rref
+from .gf import ELEMENT, FieldMatrix, FiniteField, RowReduction, rref
 from .generic_bound import CodeChain
 
 _BLOCK_TARGET = 8192
@@ -74,7 +74,7 @@ def _span(fld: FiniteField, scaled: np.ndarray, base: np.ndarray,
     (r, n, m * q^len(entries)), one array step per entry."""
     r, n = base.shape[:2]
     for i, j in entries:
-        step = np.zeros((r, n, fld.q, 1), dtype=np.int32)
+        step = np.zeros((r, n, fld.q, 1), dtype=ELEMENT)
         step[i, :, :, 0] = scaled[j]
         base = fld.add_arrays(step, base[:, :, None]).reshape(r, n, -1)
     return base
@@ -92,8 +92,8 @@ def _least_support(fld: FiniteField, rows: np.ndarray, r: int) -> int:
     the bases h + b; a column of h - b vanishes exactly where b == h.  So
     the search compares the block with each head and adds no field
     elements.  The block holds no pivot row, so consecutive pivot sets with
-    the same tail share it; block and heads are uint8 (q <= 256), and the
-    support of each basis is counted in the least dtype that holds n.
+    the same tail share it, and the support of each basis is counted in the
+    least dtype that holds n.
     """
     k, n = rows.shape
     scaled = fld.mul_arrays(rows[:, :, None], np.arange(fld.q))  # (k, n, q)
@@ -111,10 +111,10 @@ def _least_support(fld: FiniteField, rows: np.ndarray, r: int) -> int:
             tail = free[split:]
             # bases run along the last axis, so the support reductions below
             # combine whole planes instead of short rows
-            block = _span(fld, scaled, np.zeros((r, n, 1), dtype=np.int32),
-                          tail).astype(np.uint8)
+            block = _span(fld, scaled, np.zeros((r, n, 1), dtype=ELEMENT),
+                          tail)
         heads = _span(fld, scaled, rows[list(pivots)][:, :, None],
-                      free[:split]).astype(np.uint8)
+                      free[:split])
         for h in range(heads.shape[2]):
             support = (block != heads[:, :, h:h + 1]).any(axis=0)
             best = min(best, int(support.sum(axis=0, dtype=count).min()))
@@ -195,7 +195,7 @@ def _nullspace(red: RowReduction) -> np.ndarray:
     1 at c and, at each pivot column, minus that pivot row's entry at c."""
     M = red.matrix
     free = [c for c in range(M.ncols) if c not in red.pivots]
-    out = np.zeros((len(free), M.ncols), dtype=np.int32)
+    out = np.zeros((len(free), M.ncols), dtype=ELEMENT)
     out[np.arange(len(free)), free] = 1
     out[:, list(red.pivots)] = M.field.neg_arrays(M.data[: red.rank][:, free].T)
     return out
@@ -227,7 +227,7 @@ def find_isometry_vector(chain: CodeChain):
         return None  # a coordinate vanishes on every candidate
     combos = product(range(fld.q), repeat=null.shape[0])
     for mu in islice(combos, 1, _COMB_CAP):  # combination 0 is the zero vector
-        x = fld.matmul(np.array([mu], dtype=np.int32), null)[0]
+        x = fld.matmul([mu], null)[0]
         if (x != 0).all():
             _assert_isometry(chain, x)
             return tuple(int(v) for v in x)

@@ -88,7 +88,8 @@ def validate_per_m(semigroup, n, members):
 
     The reference for ``agb.hstar._validate``: the same checks in the same
     order with the same messages, but each absent m in [n, n+2g-1] is
-    checked by its own pass over the jump set.
+    checked by its own pass over the jump set.  It also re-counts the
+    members in [n, n+2g-1], which the checks before the count force to g.
     """
     _require_length(semigroup, n)
     g = semigroup.genus
@@ -96,6 +97,10 @@ def validate_per_m(semigroup, n, members):
     members = np.asarray(members, dtype=np.int64)
     if len(members) != n:
         raise WrongCardinality(f"expected {n} members, got {len(members)}")
+    repeats = [a for a, b in zip(members.tolist(), members[1:].tolist())
+               if a == b]
+    if repeats:
+        raise WrongCardinality(f"members repeat: {repeats[0]}")
     if len(members) and (members[0] < 0 or members[-1] > top):
         raise NotSubsetOfH(f"members must lie in [0, {top}]")
     mask = semigroup.membership_mask(top)

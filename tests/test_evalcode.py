@@ -395,6 +395,15 @@ def test_biorthogonal_adjust_rejects_bad_witness(herm2_table):
         biorthogonal_adjust(herm2_table, [1, 2, 3, 1, 2, 3, 1, 0])
 
 
+@pytest.mark.parametrize("x", [[4] * 8, [-1] * 8, [1.5] * 8, [257] * 8],
+                         ids=["past-q", "negative", "float", "wraps-a-byte"])
+def test_biorthogonal_adjust_rejects_entries_outside_the_field(herm2_table,
+                                                               x):
+    # unchecked, [1.5] * 8 passes as the all-ones witness
+    with pytest.raises(InvariantViolation):
+        biorthogonal_adjust(herm2_table, x)
+
+
 def test_biorthogonal_adjust_pinned_rows(herm2_table):
     # rows generated by the pairing-by-pairing adjustment that computed
     # every (x * w_s) . w_j with its own dot product

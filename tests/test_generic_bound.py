@@ -233,3 +233,12 @@ def test_nu_rejects_wrong_length(herm2_chain):
     with pytest.raises(MatrixShapeMismatch):
         herm2_chain.nu(np.zeros(9, dtype=np.int32))
     assert issubclass(MatrixShapeMismatch, AgbError)
+
+
+@pytest.mark.parametrize("first", [5, -1, 1.5, 257],
+                         ids=["past-q", "negative", "float", "wraps-a-byte"])
+def test_nu_rejects_entries_outside_the_field(herm2_chain, first):
+    # an unchecked cast raises a bare IndexError, reads -1 as a field
+    # element or truncates 1.5 to 1
+    with pytest.raises(InvariantViolation):
+        herm2_chain.nu([first] + [0] * (herm2_chain.n - 1))

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agb import FieldMatrix, dual, field, rref
+from agb import FieldMatrix, code, dual, field, rref
 from agb.errors import (AgbError, DivisionByZero, InvariantViolation,
                         MatrixShapeMismatch, UnsupportedField)
+from agb.evalcode import chain_matrix, code_chain
+from agb.gf import ELEMENT
 
 from conftest import dot, span_reference
 
@@ -309,6 +311,20 @@ def test_matrix_entry_validation():
 def test_matrix_entries_are_checked_before_the_cast(data):
     with pytest.raises(InvariantViolation):
         FieldMatrix(field(2, 2), data)
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (13, 2)])
+def test_every_field_array_has_the_element_type(herm2_table, p, k):
+    f = field(p, k)
+    a = [[0, 1], [f.q - 1, 2]]
+    arrays = [f.add_arrays(a, a), f.mul_arrays(a, a), f.neg_arrays(a),
+              f.scale_array(2, a), f.matmul(a, a), FieldMatrix(f, a).data,
+              rref(FieldMatrix(f, a)).matrix.data,
+              dual(FieldMatrix(f, [[1, 1]])).data,
+              code(herm2_table, 5).matrix.data,
+              chain_matrix(herm2_table).data, code_chain(herm2_table).basis]
+    assert np.dtype(ELEMENT).itemsize == 1
+    assert [x.dtype for x in arrays] == [np.dtype(ELEMENT)] * len(arrays)
 
 
 def test_matrix_json_roundtrip(tmp_path):

@@ -127,6 +127,15 @@ def test_direct_construction_is_validated(two_three):
     assert hs.members_array().tolist() == list(TWO_THREE_8)
 
 
+@pytest.mark.parametrize("members", [[0, 2, 3, 4, 5, 6, 7, 8, 8],
+                                     [0, 2, 3, 4, 5, 6, 7, 9, 9]],
+                         ids=["below-n", "above-n"])
+def test_direct_construction_rejects_repeated_members(members):
+    S = NumericalSemigroup.from_generators([2, 3])
+    with pytest.raises(WrongCardinality, match="members repeat"):
+        HStar(S, 9, members, HStarMode.EXPLICIT)
+
+
 def test_each_constructor_validates_once(two_three, monkeypatch):
     import agb.hstar as hstar_mod
     calls = []
