@@ -169,3 +169,8 @@ class BudgetExceeded(AgbError):
         )
         self.required = required
         self.budget = budget
+
+
+class ZeroInFirstRow(AgbError):
+    """The first chain row has a zero entry, where the isometry witness is
+    read off by dividing by it."""

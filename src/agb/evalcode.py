@@ -4,8 +4,9 @@ An :class:`EvaluationTable` holds, for every pole order up to n+2g-1, the
 values of one function with that pole order at n fixed points.  Truncating the
 table at a budget m yields the generator matrix of the code at m; one ``rref``
 per table finds the chain rows, measures every dimension and so recovers the
-jump set empirically, with no curve machinery at runtime.  Built-in
-constructor: Hermitian curves for q0 = 2, 3, 4.
+jump set empirically, with no curve machinery at runtime, and one more
+inverts the chain rows, for every dual, the isometry witness and the
+biorthogonal rows.  Built-in constructor: Hermitian curves for q0 = 2, 3, 4.
 """
 
 import json
@@ -45,7 +46,7 @@ class EvaluationTable:
     """
 
     __slots__ = ("field", "points", "functions", "semigroup", "_pivots",
-                 "_hstar", "_chain")
+                 "_hstar", "_chain", "_code_chain")
 
     def __init__(self, fld: FiniteField, points, functions,
                  semigroup: NumericalSemigroup):
@@ -56,7 +57,7 @@ class EvaluationTable:
             for po, vals in functions
         )
         self.semigroup = semigroup
-        self._pivots = self._hstar = self._chain = None
+        self._pivots = self._hstar = self._chain = self._code_chain = None
         self._check()
 
     @property
@@ -194,9 +195,12 @@ def biorthogonal_adjust(table: EvaluationTable, x) -> FieldMatrix:
     """Replace each chain row so it pairs nonzero only with its mirror index.
 
     Given an isometry witness x, returns rows w'_1..w'_n with the same
-    triangular span such that (x * w'_i) . w_j vanishes unless j = n-i+1.
-    Built inductively from the raw pairings pair[s, i] = (x * w_s) . w_{n-i}:
-    row s subtracts pair[s, i] / pair[i, i] times each adjusted row i < s.
+    triangular span such that (x * w'_s) . w_j vanishes unless j = n-s+1,
+    where it keeps the raw mirror pairing p_s = (x * w_s) . w_{n-s+1}.  Those
+    pairings fix each row, and the chain's inverse B^-1 gives it:
+    w'_s = p_s * x^-1 * B^-1[:, n-s+1].  A valid witness makes every w'_s
+    equal w_s plus earlier rows, so their coordinates w' B^-1 must be unit
+    lower-triangular, and their pairings with the w_j must be antidiagonal.
     """
     fld = table.field
     hs = empirical_hstar(table)
@@ -207,16 +211,17 @@ def biorthogonal_adjust(table: EvaluationTable, x) -> FieldMatrix:
     if x.shape != (n,) or not (x != 0).all():
         raise NotIsometryDual("witness must have n nonzero coordinates")
     w = chain_matrix(table).data
-    pair = fld.matmul(fld.mul_arrays(w, x[None, :]), w.T)[:, ::-1]
-    pivots = np.diagonal(pair)
-    if not pivots.all():
-        row = int(np.flatnonzero(pivots == 0)[0]) + 1
+    mirror = fld.matmul(fld.mul_arrays(w, w[::-1]), x[:, None])[:, 0]
+    if not mirror.all():
+        row = int(np.flatnonzero(mirror == 0)[0]) + 1
         raise ZeroPivot(f"mirror pairing vanished at row {row}; invalid witness")
-    inverses = field_array(fld, [fld.inv(int(d)) for d in pivots])
-    coefs = fld.neg_arrays(fld.mul_arrays(pair, inverses[None, :]))
-    adj = w.copy()
-    for s in range(1, n):
-        adj[s] = fld.add_arrays(w[s], fld.matmul(coefs[s:s + 1, :s], adj[:s])[0])
+    inverse = code_chain(table).dual_rows(())   # row j is B^-1[:, j]
+    adj = fld.mul_arrays(fld.mul_arrays(inverse[::-1], fld.inv_arrays(x)),
+                         mirror[:, None])
+    coords = fld.matmul(adj, inverse.T)
+    if np.triu(coords, 1).any() or (np.diagonal(coords) != 1).any():
+        raise ZeroPivot("adjusted rows leave the chain's triangular span; "
+                        "invalid witness")
     # post-condition: pairings vanish exactly off the antidiagonal
     gram = fld.matmul(fld.mul_arrays(adj, x[None, :]), w.T)
     off = np.ones((n, n), dtype=bool)
@@ -279,5 +284,8 @@ def load_table(path) -> EvaluationTable:
 
 
 def code_chain(table: EvaluationTable) -> CodeChain:
-    """Code chain over the empirical jump rows; see :mod:`agb.generic_bound`."""
-    return CodeChain(table.field, chain_matrix(table).data)
+    """Code chain over the empirical jump rows, its one inverse taken once
+    and kept on the table; see :mod:`agb.generic_bound`."""
+    if table._code_chain is None:
+        table._code_chain = CodeChain(table.field, chain_matrix(table).data)
+    return table._code_chain

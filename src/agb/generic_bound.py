@@ -2,7 +2,8 @@
 
 Fix an ordered basis b_1..b_n of the ambient space and the nested codes
 C_i spanned by the first i basis vectors.  The position map nu sends a vector
-to its last nonzero coordinate, read through one inverse of the basis; pairs
+to its last nonzero coordinate, read through one inverse of the basis, which
+also gives the dual of any set of basis vectors with no elimination; pairs
 of basis vectors whose componentwise product reaches a strictly higher nu than
 all dominated pairs ("well-behaving" pairs) yield a per-level weight bound,
 and the running minimum bounds the minimum distance of every C_i.
@@ -37,6 +38,21 @@ class CodeChain:
         if v.shape != (self.n,):
             raise MatrixShapeMismatch(f"expected a vector of length {self.n}")
         return int(self._levels(v))
+
+    def dual_rows(self, indices) -> np.ndarray:
+        """Rows spanning the dual of the code spanned by the basis rows at
+        ``indices`` (0-based): the columns of the inverse outside them.
+
+        b_i . B^-1[:, j] is 1 when i = j and 0 otherwise, so those columns
+        are independent and orthogonal to every chosen row; with the empty
+        set they are all of B^-1, transposed.
+        """
+        keep = np.ones(self.n, dtype=bool)
+        for i in indices:
+            if not 0 <= i < self.n:
+                raise IndexOutOfRange(f"row index {i} outside 0..{self.n - 1}")
+            keep[i] = False
+        return self._inverse[:, keep].T
 
     def _levels(self, vectors) -> np.ndarray:
         """nu of each vector along the last axis: one plus the index of its

@@ -121,6 +121,13 @@ class FiniteField:
     def neg_arrays(self, x):
         return self._neg[np.asarray(x, dtype=ELEMENT)]
 
+    def inv_arrays(self, x):
+        """Elementwise inverse, read off the power table's last column."""
+        x = np.asarray(x, dtype=ELEMENT)
+        if not x.all():
+            raise DivisionByZero("zero has no multiplicative inverse")
+        return self._pow[x, -1]
+
     def mul_arrays(self, x, y):
         """Elementwise field multiplication with numpy broadcasting."""
         x = np.asarray(x, dtype=ELEMENT)
@@ -135,6 +142,9 @@ class FiniteField:
         """Field matrix product of 2-D arrays (r x k) @ (k x n)."""
         a = np.asarray(a, dtype=ELEMENT)
         b = np.asarray(b, dtype=ELEMENT)
+        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+            raise MatrixShapeMismatch(
+                f"cannot multiply shapes {a.shape} and {b.shape}")
         out = np.zeros((a.shape[0], b.shape[1]), dtype=ELEMENT)
         for j in range(a.shape[1]):
             col = a[:, j]

@@ -13,23 +13,25 @@ subspaces.  Through C⊥ it reads d_r(C) off Wei duality (Wei 1991): the
 weights of C are the integers 1..n outside {n + 1 - d_s(C⊥)}, so d_r(C) is
 the r-th of them, found from the largest s down, where the dual's subspaces
 are fewest.  A high-rate code of any length is thus in reach when its dual
-is small.  Also: dual codes by nullspace, and a coordinatewise-scaling
-witness of isometry-duality.
+is small.  One :class:`CodeSearch` per code takes a basis and a source of
+its dual: ``min_distance`` and ``weight_hierarchy`` read both off one
+``rref`` of their matrix, and ``agb verify`` off the chain's one inverse.
+Also: dual codes by nullspace, and the coordinatewise-scaling witness of
+isometry-duality, read off the same inverse.
 """
 
 import os
 from dataclasses import dataclass
-from itertools import combinations, islice, product
+from itertools import combinations
 
 import numpy as np
 
-from .errors import (BudgetExceeded, IndexOutOfRange,
-                     InternalInvariantViolation, InvalidSearchBudget)
+from .errors import (BudgetExceeded, IndexOutOfRange, InvalidSearchBudget,
+                     ZeroInFirstRow)
 from .gf import ELEMENT, FieldMatrix, FiniteField, RowReduction, rref
 from .generic_bound import CodeChain
 
 _BLOCK_TARGET = 8192
-_COMB_CAP = 10 ** 6  # witness candidates tried before giving up
 
 
 @dataclass(frozen=True)
@@ -116,7 +118,9 @@ def _least_support(fld: FiniteField, rows: np.ndarray, r: int) -> int:
         heads = _span(fld, scaled, rows[list(pivots)][:, :, None],
                       free[:split])
         for h in range(heads.shape[2]):
-            support = (block != heads[:, :, h:h + 1]).any(axis=0)
+            differ = block != heads[:, :, h:h + 1]
+            # at r = 1 the one plane is the support; any() would copy it
+            support = differ[0] if r == 1 else differ.any(axis=0)
             best = min(best, int(support.sum(axis=0, dtype=count).min()))
     return best
 
@@ -124,7 +128,7 @@ def _least_support(fld: FiniteField, rows: np.ndarray, r: int) -> int:
 def min_distance(M: FieldMatrix, budget: SearchBudget | None = None) -> int:
     """Exact minimum weight over the nonzero codewords of the row space of M:
     the r = 1 case of the subspace search, over the monic codewords."""
-    return _search(M, 1, budget)
+    return CodeSearch.of_matrix(M).weight(1, budget)
 
 
 def gaussian_binomial(k: int, r: int, q: int) -> int:
@@ -143,40 +147,70 @@ def weight_hierarchy(M: FieldMatrix, r: int,
     The least number of columns not identically zero on a basis of an
     r-dimensional subcode, over all gaussian_binomial(k, r, q) subcodes.
     """
-    return _search(M, r, budget)
+    return CodeSearch.of_matrix(M).weight(r, budget)
 
 
-def _search(M: FieldMatrix, r: int, budget: SearchBudget | None) -> int:
-    """The one entry of both searches: reduce the rows of M once, take the
-    route that lists fewer subspaces, check its count against the budget,
-    then search.
+class CodeSearch:
+    """The one entry of every search: a code given by independent rows,
+    and a callable that returns rows spanning its dual.
 
-    The dual route is weighed only when k⊥ = n - k < k, and taken when the
-    most it lists, the sum over s of [k⊥, s]_q, falls below the direct
-    [k, r]_q.  It reads the dual basis off the same reduction and steps the
-    Wei exclusions n + 1 - d_s(C⊥) from the least, at s = k⊥, upward: j of
-    them lie at or below r + j until the next one lies above, and then
-    d_r(C) = r + j.  With k⊥ = 0 nothing is excluded and d_r = r.
+    Any basis serves, since subspaces are listed by their coefficients in
+    it.  The dual is built only when the Wei route first runs, and the least
+    supports d_s(C⊥) listed there are kept, so asking every r of one code
+    lists each dual rank at most once.
     """
-    budget = budget or SearchBudget()
-    red = rref(M)
-    n, k, q = M.ncols, red.rank, M.field.q
-    if not 1 <= r <= k:
-        raise IndexOutOfRange(f"need 1 <= r <= dim = {k}, got r={r}")
-    direct = gaussian_binomial(k, r, q)
-    through_dual = _wei_count(n - k, q, direct) if n - k < k else direct
-    listed = min(direct, through_dual)
-    if listed > budget.max_subspaces:
-        raise BudgetExceeded(listed, budget.max_subspaces)
-    if through_dual >= direct:
-        return _least_support(M.field, red.matrix.data[:k], r)
-    rows = _nullspace(red)
-    j = 0
-    for s in range(n - k, 0, -1):
-        if n + 1 - _least_support(M.field, rows, s) > r + j:
-            break
-        j += 1
-    return r + j
+
+    def __init__(self, fld: FiniteField, basis: np.ndarray, dual):
+        self.field = fld
+        self.basis = basis
+        self._dual = dual
+        self._dual_rows = None
+        self._dual_least = {}
+
+    @classmethod
+    def of_matrix(cls, M: FieldMatrix) -> "CodeSearch":
+        """The row space of M, its basis and dual read off one ``rref``."""
+        red = rref(M)
+        return cls(M.field, red.matrix.data[:red.rank],
+                   lambda: _nullspace(red))
+
+    def weight(self, r: int, budget: SearchBudget | None = None) -> int:
+        """d_r of the code: take the route that lists fewer subspaces, check
+        its count against the budget, then search.
+
+        The dual route is weighed only when k⊥ = n - k < k, and taken when
+        the most it lists, the sum over s of [k⊥, s]_q, falls below the
+        direct [k, r]_q.  It steps the Wei exclusions n + 1 - d_s(C⊥) from
+        the least, at s = k⊥, upward: j of them lie at or below r + j until
+        the next one lies above, and then d_r(C) = r + j.  With k⊥ = 0
+        nothing is excluded and d_r = r.
+        """
+        budget = budget or SearchBudget()
+        (k, n), q = self.basis.shape, self.field.q
+        if not 1 <= r <= k:
+            raise IndexOutOfRange(f"need 1 <= r <= dim = {k}, got r={r}")
+        direct = gaussian_binomial(k, r, q)
+        through_dual = _wei_count(n - k, q, direct) if n - k < k else direct
+        listed = min(direct, through_dual)
+        if listed > budget.max_subspaces:
+            raise BudgetExceeded(listed, budget.max_subspaces)
+        if through_dual >= direct:
+            return _least_support(self.field, self.basis, r)
+        j = 0
+        for s in range(n - k, 0, -1):
+            if n + 1 - self._dual_support(s) > r + j:
+                break
+            j += 1
+        return r + j
+
+    def _dual_support(self, s: int) -> int:
+        """d_s(C⊥), listed on the first call for s and kept."""
+        if s not in self._dual_least:
+            if self._dual_rows is None:
+                self._dual_rows = self._dual()
+            self._dual_least[s] = _least_support(self.field, self._dual_rows,
+                                                 s)
+        return self._dual_least[s]
 
 
 def _wei_count(kd: int, q: int, cap: int) -> int:
@@ -210,38 +244,26 @@ def find_isometry_vector(chain: CodeChain):
     """Coordinatewise-scaling witness making every C_i isometric to the dual
     of its mirror, or None when no such vector exists.
 
-    The defining bilinear conditions are linear in the witness, so candidates
-    form the nullspace of the componentwise basis products b_a * b_b, taken
-    from one (n, n, n) product stack masked to a <= b and a + b <= n (with no
-    such pair, the nullspace of no constraints is everything).  The nullspace
-    is then scanned (up to ``_COMB_CAP`` combinations) for a vector with
-    every coordinate nonzero, unless a coordinate is zero on all of it.
+    The pairings (b_1, b_j) for j <= n - 1 alone put x * b_1 in the dual of
+    C_{n-1}, the one column B^-1[:, n-1].  So the only candidate is that
+    column divided by b_1, scaled so that x[n-1] = 1; it is a witness when
+    no entry is zero and one Gram product B diag(x) B^T vanishes at every
+    pair a + b <= n.  A b_1 with a zero entry leaves that entry of x free
+    and raises ZeroInFirstRow.
     """
     fld = chain.field
     n = chain.n
-    a = np.arange(1, n + 1)
-    pairs = (a[:, None] <= a[None, :]) & (a[:, None] + a[None, :] <= n)
-    prods = fld.mul_arrays(chain.basis[:, None, :], chain.basis[None, :, :])
-    null = dual(FieldMatrix(fld, prods[pairs])).data
-    if not null.any(axis=0).all():
-        return None  # a coordinate vanishes on every candidate
-    combos = product(range(fld.q), repeat=null.shape[0])
-    for mu in islice(combos, 1, _COMB_CAP):  # combination 0 is the zero vector
-        x = fld.matmul([mu], null)[0]
-        if (x != 0).all():
-            _assert_isometry(chain, x)
-            return tuple(int(v) for v in x)
-    return None
-
-
-def _assert_isometry(chain: CodeChain, x: np.ndarray) -> None:
-    fld = chain.field
-    n = chain.n
-    scaled = fld.mul_arrays(chain.basis, x[None, :])
-    gram = fld.matmul(scaled, chain.basis.T)
-    a = np.arange(1, n + 1)
-    bad = (a[:, None] + a[None, :] <= n) & (gram != 0)
-    if bad.any():
-        raise InternalInvariantViolation(
-            "candidate witness fails the duality pairings"
-        )
+    first = chain.basis[0]
+    if not first.all():
+        raise ZeroInFirstRow("the first chain row has a zero entry, so no "
+                             "witness is read off it")
+    x = fld.mul_arrays(chain.dual_rows(range(n - 1))[0],
+                       fld.inv_arrays(first))
+    if not x.all():
+        return None
+    x = fld.scale_array(fld.inv(int(x[-1])), x)
+    gram = fld.matmul(fld.mul_arrays(chain.basis, x[None, :]), chain.basis.T)
+    a = np.arange(n)
+    if ((a[:, None] + a[None, :] <= n - 2) & (gram != 0)).any():
+        return None
+    return tuple(int(v) for v in x)

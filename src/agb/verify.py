@@ -14,38 +14,43 @@ def run_verification(table: evalcode.EvaluationTable, max_dim: int | None = None
     chain, the GHW bounds up to ``ghw_r``, and the designed distance of each
     improved code.  Returns one record per inequality checked.
 
-    Every code checked is a set of chain rows in chain order (the first k
-    for the chain code of dimension k), and true weights are kept under
-    those rows as given and the rank r: records that check the same index
-    set at the same r, and so the same row space, share one exhaustive
-    search, and r = 1 is always ``min_distance``.  ``None`` means no cap
-    and no GHW checks; a given ``max_dim`` or ``ghw_r`` below 1 raises
-    UnsupportedParameter.
+    Every code checked is a set of chain rows, keyed by their indices (the
+    first k for the chain code of dimension k, the indices of
+    ``bounds.improved_profile`` for an improved code).  Its basis is those
+    rows and its dual the columns of the chain's one inverse outside them,
+    so no search eliminates.  One ``oracle.CodeSearch`` per index set keeps
+    the dual's least supports across r, and true weights are kept under
+    (indices, r): records that check the same code at the same r share one
+    search.  ``None`` means no cap and no GHW checks; a given ``max_dim``
+    or ``ghw_r`` below 1 raises UnsupportedParameter.
     """
     for name, value in (("max_dim", max_dim), ("ghw_r", ghw_r)):
         if value is not None and value < 1:
             raise UnsupportedParameter(f"{name} must be at least 1, got {value}")
     budget = budget or oracle.SearchBudget.from_env()
     checks = []
+    searches = {}
     weights = {}
 
     def record(name, ok, detail):
         checks.append({"name": name, "ok": bool(ok), "detail": detail})
-
-    def true_weight(M, r=1):
-        key = (M.data.tobytes(), r)
-        if key not in weights:
-            weights[key] = (oracle.min_distance(M, budget) if r == 1 else
-                            oracle.weight_hierarchy(M, r, budget))
-        return weights[key]
 
     hs = evalcode.empirical_hstar(table)
     ref = HStar.from_equiv_divisor(table.semigroup, table.n)
     record("hstar-matches-construction", hs == ref,
            f"measured jumps {list(hs.members)}")
 
-    rows = evalcode.chain_matrix(table)
+    rows = evalcode.chain_matrix(table).data
     chain = evalcode.code_chain(table)
+
+    def true_weight(idx, r=1):
+        if idx not in searches:
+            searches[idx] = oracle.CodeSearch(
+                table.field, rows[list(idx)], lambda: chain.dual_rows(idx))
+        if (idx, r) not in weights:
+            weights[idx, r] = searches[idx].weight(r, budget)
+        return weights[idx, r]
+
     profile = bounds.lambda_profile(hs)
     q = table.field.q
     cap_dim = max_dim if max_dim is not None else table.n
@@ -56,7 +61,7 @@ def run_verification(table: evalcode.EvaluationTable, max_dim: int | None = None
     for m, dim in enumerate(evalcode.measured_dimensions(table)):
         if not searchable(dim):
             continue
-        d_true = true_weight(rows[:dim])
+        d_true = true_weight(tuple(range(dim)))
         ds = profile.d_star(dim)
         gb = chain.generic_bound(dim)
         record(f"dstar-m{m}", d_true >= ds,
@@ -73,16 +78,16 @@ def run_verification(table: evalcode.EvaluationTable, max_dim: int | None = None
                    if searchable(dim, r)]
         ghw = bounds.ghw_table(hs, [(r, dim) for _, dim, r in queries])
         for (m, dim, r), entry in zip(queries, ghw.entries):
-            dr = true_weight(rows[:dim], r)
+            dr = true_weight(tuple(range(dim)), r)
             record(f"ghw-m{m}-r{r}", dr >= entry.bound,
                    f"dim {dim}: true {dr} >= bound {entry.bound}")
 
     for delta in range(1, hs.n + 1):
-        mat = evalcode.improved_generators(table, delta)
-        dim = mat.nrows
+        idx = tuple(i - 1 for i in bounds.improved_profile(hs, delta).indices)
+        dim = len(idx)
         if not searchable(dim):
             continue
-        d_true = true_weight(mat)
+        d_true = true_weight(idx)
         record(f"improved-delta{delta}", d_true >= delta,
                f"dim {dim}: true {d_true} >= designed {delta}")
 

@@ -202,11 +202,62 @@ def triangular_basis(chain, vectors) -> list:
     vectors = np.asarray(vectors, dtype=np.int32)
     if vectors.size and vectors.shape[-1] != chain.n:
         raise MatrixShapeMismatch(f"expected vectors of length {chain.n}")
-    coords = fld.matmul(vectors.reshape(-1, chain.n), chain._inverse)
+    inverse = chain.dual_rows(()).T   # the dual of no rows is all of B^-1
+    coords = fld.matmul(vectors.reshape(-1, chain.n), inverse)
     red = rref(FieldMatrix(fld, coords[:, ::-1]))
     if red.rank < coords.shape[0]:
         raise DependentInput("input vectors are linearly dependent")
     return list(fld.matmul(red.matrix.data[::-1, ::-1], chain.basis))
+
+
+def isometry_witness_reference(fld, basis):
+    """The isometry witness of a chain by plain Python, or None.
+
+    x must satisfy sum_c x_c b_a[c] b_b[c] = 0 for every pair of rows with
+    a + b <= n (1-based).  Each such constraint is reduced against the ones
+    kept so far, in scalar field arithmetic on lists; every combination of
+    the solutions is then tried for one with no zero entry, scaled so that
+    its last entry is 1.  The reference for ``find_isometry_vector``: it
+    takes no inverse and assumes nothing of the first row.
+    """
+    add = [[fld.add(u, v) for v in fld.elements()] for u in fld.elements()]
+    mul = [[fld.mul(u, v) for v in fld.elements()] for u in fld.elements()]
+    neg = [row.index(0) for row in add]
+    rows = [[int(v) for v in row] for row in np.asarray(basis)]
+    n = len(rows)
+    kept = {}   # pivot column -> constraint, 1 there and 0 at other pivots
+    for a in range(n):
+        for b in range(a, n - a - 1):
+            con = [mul[u][v] for u, v in zip(rows[a], rows[b])]
+            for c, row in kept.items():
+                if con[c]:
+                    f = neg[con[c]]
+                    con = [add[u][mul[f][v]] for u, v in zip(con, row)]
+            pivot = next((c for c in range(n) if con[c]), None)
+            if pivot is None:
+                continue
+            scale = fld.inv(con[pivot])
+            con = [mul[scale][u] for u in con]
+            for c, row in kept.items():
+                if row[pivot]:
+                    f = neg[row[pivot]]
+                    kept[c] = [add[u][mul[f][v]] for u, v in zip(row, con)]
+            kept[pivot] = con
+    free = [c for c in range(n) if c not in kept]
+    assert fld.q ** len(free) <= 4096
+    for coefs in product(range(fld.q), repeat=len(free)):
+        x = [0] * n
+        for c, t in zip(free, coefs):
+            x[c] = t
+        for c, row in kept.items():
+            total = 0
+            for j in free:
+                total = add[total][mul[row[j]][x[j]]]
+            x[c] = neg[total]
+        if all(x):
+            scale = fld.inv(x[-1])
+            return tuple(mul[scale][v] for v in x)
+    return None
 
 
 @pytest.fixture(scope="session")

@@ -242,3 +242,33 @@ def test_nu_rejects_entries_outside_the_field(herm2_chain, first):
     # element or truncates 1.5 to 1
     with pytest.raises(InvariantViolation):
         herm2_chain.nu([first] + [0] * (herm2_chain.n - 1))
+
+
+@pytest.mark.parametrize("p, k, n", [(2, 2, 6), (3, 1, 5), (3, 2, 4)])
+def test_dual_rows_span_the_dual_of_every_row_set(p, k, n):
+    # for each set of rows, the dual rows are independent, orthogonal to
+    # every chosen row, and n minus the set's size in number
+    fld = field(p, k)
+    rng = random.Random(p * 100 + k * 10 + n)
+    basis = random_invertible(fld, n, rng)
+    chain = CodeChain(fld, basis)
+    for size in range(n + 1):
+        for idx in {tuple(sorted(rng.sample(range(n), size)))
+                    for _ in range(4)}:
+            dual = chain.dual_rows(idx)
+            assert dual.shape == (n - size, n)
+            if size and n - size:
+                assert not fld.matmul(basis[list(idx)], dual.T).any()
+            if n - size:
+                assert rref(FieldMatrix(fld, dual)).rank == n - size
+
+
+def test_dual_rows_rejects_indices_outside_the_chain(herm2_chain):
+    for bad in ([8], [-1], [0, 9]):
+        with pytest.raises(IndexOutOfRange):
+            herm2_chain.dual_rows(bad)
+
+
+def test_code_chain_is_kept_on_the_table(herm2_table):
+    # one inverse per table serves every search and witness of a run
+    assert code_chain(herm2_table) is code_chain(herm2_table)

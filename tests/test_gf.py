@@ -208,6 +208,27 @@ def test_matmul_matches_naive():
             assert prod[i, j] == acc
 
 
+def test_matmul_rejects_mismatched_shapes():
+    # unchecked, the first drops the third row of b and the second raises
+    # a bare IndexError
+    f = field(2, 2)
+    with pytest.raises(MatrixShapeMismatch):
+        f.matmul([[1, 1]], [[1, 0], [0, 1], [1, 1]])
+    with pytest.raises(MatrixShapeMismatch):
+        f.matmul([[1, 1, 1]], [[1, 0], [0, 1]])
+    with pytest.raises(MatrixShapeMismatch):
+        f.matmul([1, 1], [[1, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2), (3, 2), (13, 2)])
+def test_inv_arrays_matches_scalar_inverse(p, k):
+    f = field(p, k)
+    nonzero = np.arange(1, f.q)
+    assert f.inv_arrays(nonzero).tolist() == [f.inv(int(a)) for a in nonzero]
+    with pytest.raises(DivisionByZero):
+        f.inv_arrays([1, 0])
+
+
 def test_rref_identity_and_zero():
     f4 = field(2, 2)
     eye = FieldMatrix(f4, np.eye(4, dtype=np.int32))

@@ -4,17 +4,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from agb import (CodeChain, FieldMatrix, SearchBudget, code, dual,
+from agb import (CodeChain, FieldMatrix, SearchBudget, code, code_chain, dual,
                  empirical_hstar, field, find_isometry_vector, hermitian_table,
                  min_distance, oracle, rref, weight_hierarchy)
 from agb.errors import (AgbError, BudgetExceeded, IndexOutOfRange,
-                        InvalidSearchBudget)
+                        InvalidSearchBudget, ZeroInFirstRow)
 from agb.evalcode import chain_matrix
 from agb.oracle import gaussian_binomial
-from conftest import dot, star
+from conftest import dot, isometry_witness_reference, star
 from test_gf import field_matrices
 
 
@@ -225,17 +225,6 @@ def test_isometry_vector_hermitian(herm2_table):
     assert empirical_hstar(herm2_table).is_isometry_dual()
 
 
-def test_isometry_search_skips_a_column_zero_on_every_candidate():
-    # on the identity chain the pairs (a, a), a <= 8, force x_1..x_8 = 0,
-    # so no witness exists and no combination of the nullspace is tried
-    f4 = field(2, 2)
-    chain = CodeChain(f4, np.eye(16, dtype=np.int32))
-    with mock.patch.object(type(f4), "matmul",
-                           autospec=True, side_effect=type(f4).matmul) as mm:
-        assert find_isometry_vector(chain) is None
-    assert mm.call_count == 0
-
-
 def test_isometry_scaling_preserves_weight(herm2_table):
     fld = herm2_table.field
     chain = CodeChain(fld, chain_matrix(herm2_table).data)
@@ -280,10 +269,68 @@ def test_isometry_dual_transport(herm2_table):
         rhs.matrix.data[: rhs.rank].tolist()
 
 
-def test_isometry_absent_for_identity_chain():
-    fld = field(2, 2)
-    chain = CodeChain(fld, np.eye(3, dtype=np.int32))
-    assert find_isometry_vector(chain) is None
+@pytest.mark.parametrize("n", [3, 16])
+def test_isometry_witness_needs_a_first_row_without_zeros(n):
+    # the identity chain's b_1 = e_1 leaves x_2..x_n unconstrained by the
+    # pairings with b_1, so the witness is not read off it; the chain is
+    # rejected before any product is formed
+    f4 = field(2, 2)
+    chain = CodeChain(f4, np.eye(n, dtype=np.int32))
+    with mock.patch.object(type(f4), "matmul",
+                           autospec=True, side_effect=type(f4).matmul) as mm:
+        with pytest.raises(ZeroInFirstRow):
+            find_isometry_vector(chain)
+    assert mm.call_count == 0
+
+
+@pytest.mark.parametrize("q0", [2, 3, 4])
+def test_isometry_witness_matches_reference_on_hermitian(q0):
+    chain = code_chain(hermitian_table(q0))
+    x = find_isometry_vector(chain)
+    assert x is not None
+    assert x == isometry_witness_reference(chain.field, chain.basis)
+
+
+@st.composite
+def chains_with_full_first_row(draw):
+    """A random invertible chain over a small field whose first row has no
+    zero entry; half of them carry a planted witness.
+
+    The planted ones start from the Reed-Solomon chain x^e at all q points,
+    whose witness is the all-ones vector.  A unit lower-triangular mix of
+    its rows keeps every C_i, so the witness too, and a scaling of the
+    columns by d carries the witness to d^-2.
+    """
+    fld = field(*draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1),
+                                       (3, 2)])))
+    q = fld.q
+    if draw(st.booleans()):
+        n = q
+        basis = np.array([[fld.pow(x, e) for x in fld.elements()]
+                          for e in range(n)])
+        mix = np.eye(n, dtype=np.int64)
+        for i in range(1, n):
+            mix[i, :i] = draw(st.lists(st.integers(0, q - 1), min_size=i,
+                                       max_size=i))
+        scale = draw(st.lists(st.integers(1, q - 1), min_size=n, max_size=n))
+        basis = fld.mul_arrays(fld.matmul(mix, basis), np.array(scale))
+    else:
+        n = draw(st.integers(1, 6))
+        first = draw(st.lists(st.integers(1, q - 1), min_size=n, max_size=n))
+        rest = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n,
+                                      max_size=n),
+                             min_size=n - 1, max_size=n - 1))
+        basis = np.array([first, *rest]).reshape(n, n)
+    assume(rref(FieldMatrix(fld, basis)).rank == n)
+    return fld, basis
+
+
+@settings(max_examples=150, deadline=None)
+@given(chains_with_full_first_row())
+def test_isometry_witness_matches_reference_on_random_chains(chain_data):
+    fld, basis = chain_data
+    expected = isometry_witness_reference(fld, basis)
+    assert find_isometry_vector(CodeChain(fld, basis)) == expected
 
 
 def test_isometry_trivial_length_one():
@@ -517,7 +564,9 @@ def test_high_rate_hierarchy_matches_codeword_supports(monkeypatch, p, e, n,
                                                        k, zeros):
     # random [n, k] codes with k > n - k, the last `zeros` columns zero; a
     # dual of dimension <= 2 is far cheaper than the code at r = 1, so at
-    # least the minimum distance goes through the Wei step
+    # least the minimum distance goes through the Wei step.  The dual is
+    # built only there, once per code whatever the r, and not at all when
+    # k = n leaves it no rank to list
     fld = field(p, e)
     rng = random.Random(n * 100 + k * 10 + zeros + fld.q)
     duals = []
@@ -532,10 +581,60 @@ def test_high_rate_hierarchy_matches_codeword_supports(monkeypatch, p, e, n,
                 break
         M = FieldMatrix(fld, rows)
         expected = hierarchy_by_supports(fld, rows)
+        built = [k] if k < n else []
         duals.clear()
         assert min_distance(M) == expected[0]
-        assert duals == [k]
+        assert duals == built
+        search = oracle.CodeSearch.of_matrix(M)
+        duals.clear()
+        assert [search.weight(r) for r in range(1, k + 1)] == expected
+        assert duals == built
         assert [weight_hierarchy(M, r) for r in range(1, k + 1)] == expected
+
+
+def test_low_rate_search_builds_no_dual(monkeypatch, herm2_table):
+    # k <= n - k never weighs the dual route
+    built = []
+    monkeypatch.setattr(oracle, "_nullspace", built.append)
+    M = code(herm2_table, 4).matrix
+    assert [weight_hierarchy(M, r) for r in range(1, 5)] == [4, 6, 7, 8]
+    assert built == []
+
+
+@st.composite
+def chain_row_sets(draw):
+    """A Hermitian table and a sorted set of its chain rows; over GF(9) the
+    sets have at most 4 rows or at most 3 left out, so every rank of them
+    stays within the default budget by one route or the other."""
+    q0 = draw(st.sampled_from([2, 3]))
+    n = q0 ** 3
+    if q0 == 2:
+        size = draw(st.integers(1, n))
+    else:
+        size = draw(st.integers(1, 4) | st.integers(n - 3, n))
+    idx = draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size,
+                        unique=True))
+    return q0, tuple(sorted(idx))
+
+
+@settings(max_examples=40, deadline=None)
+@given(chain_row_sets())
+def test_chain_inverse_search_matches_rref_search(tables, case):
+    # the basis and dual verify uses, read off the chain with no
+    # elimination, against both read off one rref of the rows
+    q0, idx = case
+    table = tables[q0]
+    chain = code_chain(table)
+    rows = chain.basis[list(idx)]
+    search = oracle.CodeSearch(table.field, rows, lambda: chain.dual_rows(idx))
+    M = FieldMatrix(table.field, rows)
+    assert [search.weight(r) for r in range(1, len(idx) + 1)] == \
+        [weight_hierarchy(M, r) for r in range(1, len(idx) + 1)]
+
+
+@pytest.fixture(scope="module")
+def tables(herm2_table, herm3_table):
+    return {2: herm2_table, 3: herm3_table}
 
 
 def test_hermitian_gf16_high_rate_distances(herm4_table):

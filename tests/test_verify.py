@@ -4,21 +4,23 @@ import sys
 
 import pytest
 
-from agb import gf
-from agb import (FieldMatrix, evalcode, hermitian_table, load_table, oracle,
-                 save_table)
+from agb import bounds, gf
+from agb import evalcode, hermitian_table, load_table, oracle, save_table
 from agb.errors import UnsupportedParameter
 from agb.verify import run_verification
 
 
 def counted_run(monkeypatch, table, **kwargs):
-    """Run the verification, counting exhaustive searches and eliminations.
+    """Run the verification, counting searches, kernel calls and eliminations.
 
-    ``rref`` counts every call, from every module that imports it; a chain
-    pass is one of those made inside ``agb.evalcode``.
+    A search is one call of ``oracle.CodeSearch.weight``, a distance at
+    r = 1 and a hierarchy above, and a listing is one call of the kernel
+    ``oracle._least_support``.  ``rref`` counts every call, from every module
+    that imports it; a chain pass is one of those made inside
+    ``agb.evalcode``.
     """
-    calls = {"min_distance": 0, "weight_hierarchy": 0, "chain_passes": 0,
-             "rref": 0}
+    calls = {"distance": 0, "hierarchy": 0, "chain_passes": 0, "rref": 0,
+             "listings": 0}
 
     def counting(keys, fn):
         def wrapper(*args, **kw):
@@ -27,8 +29,15 @@ def counted_run(monkeypatch, table, **kwargs):
             return fn(*args, **kw)
         return wrapper
 
-    for key in ("min_distance", "weight_hierarchy"):
-        monkeypatch.setattr(oracle, key, counting([key], getattr(oracle, key)))
+    weight = oracle.CodeSearch.weight
+
+    def counted_weight(self, r, *args, **kw):
+        calls["distance" if r == 1 else "hierarchy"] += 1
+        return weight(self, r, *args, **kw)
+
+    monkeypatch.setattr(oracle.CodeSearch, "weight", counted_weight)
+    monkeypatch.setattr(oracle, "_least_support",
+                        counting(["listings"], oracle._least_support))
     rref = gf.rref
     for mod in [m for name, m in sys.modules.items()
                 if name.split(".")[0] == "agb"
@@ -39,43 +48,44 @@ def counted_run(monkeypatch, table, **kwargs):
 
 
 def test_gf9_run_searches_each_distinct_code_once(monkeypatch):
-    # 20 records read true distances, but only 7 distinct row spaces exist
+    # 20 records read true distances, but only 7 distinct row spaces exist;
+    # the two eliminations are the chain pass and the chain's inverse
     checks, calls = counted_run(monkeypatch, hermitian_table(3), max_dim=7)
-    assert calls == {"min_distance": 7, "weight_hierarchy": 0,
-                     "chain_passes": 1, "rref": 10}
+    assert calls == {"distance": 7, "hierarchy": 0, "chain_passes": 1,
+                     "rref": 2, "listings": 7}
     assert all(c["ok"] for c in checks)
 
 
 def test_gf4_ghw_run_searches_each_distinct_code_once(monkeypatch):
     # the GHW queries at r = 1 are the 8 chain codes the distance records
-    # have searched already; each of the 13 at r >= 2 gets its own search
+    # have searched already; each of the 13 at r >= 2 gets its own search.
+    # The 10 listings at r = 1 are C_1..C_4 directly and every rank of the
+    # duals of C_5, C_6 and C_7; at r >= 2 only the 6 direct searches on
+    # C_2..C_4 list anything, as the Wei step on C_5..C_7 reads the dual
+    # ranks listed before
     checks, calls = counted_run(monkeypatch, hermitian_table(2), ghw_r=4)
-    assert calls == {"min_distance": 8, "weight_hierarchy": 13,
-                     "chain_passes": 1, "rref": 24}
+    assert calls == {"distance": 8, "hierarchy": 13, "chain_passes": 1,
+                     "rref": 2, "listings": 16}
     assert all(c["ok"] for c in checks)
 
 
 def test_planted_improved_matrix_gets_its_own_search(monkeypatch):
+    # the plant is an index set: chain rows 1 and 6, which span no chain code
     table = hermitian_table(2)
     honest = run_verification(table)
-    real = evalcode.improved_generators
+    real = bounds.improved_profile
 
-    def planted(t, delta):
-        mat = real(t, delta)
-        if delta != 6:
-            return mat
-        data = mat.data.copy()
-        data[-1] = 0
-        data[-1, 0] = 1   # a weight-1 row the honest C_2 does not contain
-        return FieldMatrix(t.field, data)
+    def planted(hs, delta):
+        profile = real(hs, delta)
+        return profile._replace(indices=(1, 6)) if delta == 6 else profile
 
-    monkeypatch.setattr(evalcode, "improved_generators", planted)
+    monkeypatch.setattr(bounds, "improved_profile", planted)
     checks, calls = counted_run(monkeypatch, table)
-    assert calls["min_distance"] == 9   # the 8 chain codes and the plant
+    assert calls["distance"] == 9   # the 8 chain codes and the plant
     by_name = {c["name"]: c for c in checks}
     bad = by_name.pop("improved-delta6")
-    d_plant = oracle.min_distance(planted(table, 6))
-    assert d_plant == 1
+    d_plant = oracle.min_distance(evalcode.chain_matrix(table)[[0, 5]])
+    assert d_plant == 2
     assert bad == {"name": "improved-delta6", "ok": False,
                    "detail": f"dim 2: true {d_plant} >= designed 6"}
     assert by_name == {c["name"]: c for c in honest
