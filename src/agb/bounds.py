@@ -23,7 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (DeltaOutOfRange, EnumerationCapExceeded, IndexOutOfRange,
-                     InternalInvariantViolation, NotAMember, NotIsometryDual)
+                     InternalInvariantViolation, NotAMember, NotIsometryDual,
+                     UnsupportedParameter)
 from .hstar import HStar
 from .semigroup import NumericalSemigroup
 
@@ -238,8 +239,10 @@ def ghw_bound(hs: HStar, i: int, r: int,
 
     The one-pair case of :func:`ghw_table`: the same sweep over ideals,
     pruned against this pair alone.  Visiting more than ``node_cap`` ideals
-    raises :class:`EnumerationCapExceeded` instead of degrading.
+    raises :class:`EnumerationCapExceeded` instead of degrading; a cap below
+    1 raises :class:`UnsupportedParameter`.
     """
+    _check_node_cap(node_cap)
     _check_pair(hs, r, i)
     return _ideal_sweep(hs, [(r, i)], node_cap)[r, i]
 
@@ -403,13 +406,20 @@ def ghw_table(hs: HStar, pairs, node_cap: int = DEFAULT_NODE_CAP) -> GhwTable:
 
     One sweep over the ideals of H answers every pair: its generators stop
     at the largest requested i and its staircase at the largest requested r.
-    Visiting more than ``node_cap`` ideals raises.
+    Visiting more than ``node_cap`` ideals raises, as does a cap below 1.
     """
+    _check_node_cap(node_cap)
     pairs = [(int(r), int(i)) for r, i in pairs]
     for r, i in pairs:
         _check_pair(hs, r, i)
     values = _ideal_sweep(hs, pairs, node_cap) if pairs else {}
     return GhwTable(hs, tuple(GhwEntry(r, i, values[r, i]) for r, i in pairs))
+
+
+def _check_node_cap(node_cap: int) -> None:
+    # a cap below 1 would read as a search exhausted before its first ideal
+    if node_cap < 1:
+        raise UnsupportedParameter(f"node_cap must be at least 1, got {node_cap}")
 
 
 def _check_index(hs: HStar, i: int) -> None:

@@ -1,9 +1,10 @@
 """Command-line entry point: argument parsing and output formatting only.
 
 Subcommands: semigroup, hstar, bounds, ghw, improved, curve, verify (checks in
-:mod:`agb.verify`).  Exit codes: 0 success, 1 domain error (class name on
-stderr) or a failed write to stdout, 2 usage.  Flags change formatting, never
-numbers.
+:mod:`agb.verify`), each defined once in ``_COMMANDS``; a call builds the
+parser of the one command it runs.  Exit codes: 0 success, 1 domain error
+(class name on stderr) or a failed write to stdout, 2 usage.  Flags change
+formatting, never numbers.
 """
 
 import argparse
@@ -48,12 +49,22 @@ def _emit(payload: dict, as_json: bool, text_lines) -> None:
     sys.stdout.flush()
 
 
+def _write(out: str) -> None:
+    # in buffer-sized pieces: a reader that closed the pipe then raises
+    # BrokenPipeError, where one larger write reports a short write and goes on
+    for at in range(0, len(out), io.DEFAULT_BUFFER_SIZE):
+        sys.stdout.write(out[at:at + io.DEFAULT_BUFFER_SIZE])
+    sys.stdout.flush()
+
+
 def _resolve_hstar(parser: argparse.ArgumentParser, args) -> HStar:
     S = NumericalSemigroup.from_generators(args.gens)
     mode = args.mode
     if mode in ("equiv-divisor", "isometry-dual"):
         if args.n is None:
             parser.error(f"--n is required for mode {mode}")
+        if args.file is not None:
+            parser.error(f"--file does not apply to mode {mode}")
         if mode == "equiv-divisor":
             return HStar.from_equiv_divisor(S, args.n)
         return HStar.from_isometry_dual(S, args.n)
@@ -76,22 +87,16 @@ def _resolve_hstar(parser: argparse.ArgumentParser, args) -> HStar:
     return HStar.from_abundance(S, n, payload)
 
 
-def _add_hstar_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--gens", type=_parse_gens, required=True,
-                     help="comma-separated semigroup generators")
-    sub.add_argument("--n", type=int, default=None, help="code length")
-    sub.add_argument("--mode", required=True,
-                     choices=["equiv-divisor", "isometry-dual", "explicit",
-                              "abundance"])
-    sub.add_argument("--file", default=None,
-                     help="JSON input for explicit/abundance modes")
-    sub.add_argument("--json", action="store_true")
+# -- commands: the flags each adds to its parser, then its handler --------
 
 
-# -- handlers -----------------------------------------------------------
+def _semigroup_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--gens", type=_parse_gens, required=True)
+    parser.add_argument("--up-to", type=int, default=None, dest="up_to")
+    parser.add_argument("--json", action="store_true")
 
 
-def _cmd_semigroup(args) -> int:
+def _cmd_semigroup(parser, args) -> int:
     S = NumericalSemigroup.from_generators(args.gens)
     payload = {
         "generators": list(S.generators),
@@ -114,6 +119,18 @@ def _cmd_semigroup(args) -> int:
 
     _emit(payload, args.json, text)
     return 0
+
+
+def _hstar_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--gens", type=_parse_gens, required=True,
+                        help="comma-separated semigroup generators")
+    parser.add_argument("--n", type=int, default=None, help="code length")
+    parser.add_argument("--mode", required=True,
+                        choices=["equiv-divisor", "isometry-dual", "explicit",
+                                 "abundance"])
+    parser.add_argument("--file", default=None,
+                        help="JSON input for explicit/abundance modes")
+    parser.add_argument("--json", action="store_true")
 
 
 def _cmd_hstar(parser, args) -> int:
@@ -159,13 +176,17 @@ def _cmd_bounds(parser, args) -> int:
                 + ("  d_ord" if iso else "") + "\n")
         sep, tail = "\n", "\n"
     rows = map(row.__mod__, zip(range(1, hs.n + 1), *columns))
-    out = head + sep.join(rows) + tail
-    # in buffer-sized pieces: a reader that closed the pipe then raises
-    # BrokenPipeError, where one larger write reports a short write and goes on
-    for at in range(0, len(out), io.DEFAULT_BUFFER_SIZE):
-        sys.stdout.write(out[at:at + io.DEFAULT_BUFFER_SIZE])
-    sys.stdout.flush()
+    _write(head + sep.join(rows) + tail)
     return 0
+
+
+def _ghw_flags(parser: argparse.ArgumentParser) -> None:
+    _hstar_flags(parser)
+    parser.add_argument("--r", type=_parse_r, required=True,
+                        help="an integer r, or 'all' for every r <= i")
+    parser.add_argument("--i", type=int, required=True)
+    parser.add_argument("--node-cap", type=int,
+                        default=bounds_mod.DEFAULT_NODE_CAP, dest="node_cap")
 
 
 def _cmd_ghw(parser, args) -> int:
@@ -193,6 +214,11 @@ def _cmd_ghw(parser, args) -> int:
     return 0
 
 
+def _improved_flags(parser: argparse.ArgumentParser) -> None:
+    _hstar_flags(parser)
+    parser.add_argument("--delta", type=int, required=True)
+
+
 def _cmd_improved(parser, args) -> int:
     hs = _resolve_hstar(parser, args)
     prof = bounds_mod.improved_profile(hs, args.delta)
@@ -207,6 +233,15 @@ def _cmd_improved(parser, args) -> int:
 
     _emit(payload, args.json, text)
     return 0
+
+
+def _curve_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("family", choices=["hermitian"])
+    parser.add_argument("--q0", type=int, required=True)
+    parser.add_argument("--emit-table", default=None, dest="emit_table")
+    parser.add_argument("--m", type=int, default=None)
+    parser.add_argument("--emit-matrix", default=None, dest="emit_matrix")
+    parser.add_argument("--json", action="store_true")
 
 
 def _cmd_curve(parser, args) -> int:
@@ -246,7 +281,29 @@ def _cmd_curve(parser, args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
+def _verify_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("family", choices=["hermitian"])
+    parser.add_argument("--q0", type=int, required=True)
+    parser.add_argument("--max-dim", type=int, default=None, dest="max_dim")
+    parser.add_argument("--ghw", type=int, default=None)
+    parser.add_argument("--json", action="store_true")
+
+
+def _verify_json(payload: dict) -> str:
+    """json.dumps(payload, indent=2) and a newline, one template per check."""
+    # the two strings through json.dumps, whose C encoder takes a bare str
+    record = ('    {\n      "name": %s,\n      "ok": %s,\n'
+              '      "detail": %s\n    }')
+    checks = ",\n".join(
+        record % (json.dumps(c["name"]), "true" if c["ok"] else "false",
+                  json.dumps(c["detail"]))
+        for c in payload["checks"])
+    return '{\n  "checks": %s,\n  "all_ok": %s\n}\n' % (
+        "[\n%s\n  ]" % checks if checks else "[]",
+        "true" if payload["all_ok"] else "false")
+
+
+def _cmd_verify(parser, args) -> int:
     checks = run_verification(evalcode.hermitian_table(args.q0),
                               max_dim=args.max_dim, ghw_r=args.ghw)
     payload = {"checks": checks, "all_ok": all(c["ok"] for c in checks)}
@@ -257,78 +314,50 @@ def _cmd_verify(args) -> int:
             yield f"{mark} {c['name']}: {c['detail']}"
         yield "all checks passed" if p["all_ok"] else "SOME CHECKS FAILED"
 
-    _emit(payload, args.json, text)
+    if args.json:
+        _write(_verify_json(payload))
+    else:
+        _emit(payload, False, text)
     return 0 if payload["all_ok"] else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+# name: (help line, a function adding its flags, handler(parser, args))
+_COMMANDS = {
+    "semigroup": ("semigroup invariants", _semigroup_flags, _cmd_semigroup),
+    "hstar": ("construct and validate a jump set", _hstar_flags, _cmd_hstar),
+    "bounds": ("per-index bound table", _hstar_flags, _cmd_bounds),
+    "ghw": ("generalized-weight bound", _ghw_flags, _cmd_ghw),
+    "improved": ("improved-code profile", _improved_flags, _cmd_improved),
+    "curve": ("built-in evaluation tables", _curve_flags, _cmd_curve),
+    "verify": ("brute-force cross-validation report", _verify_flags,
+               _cmd_verify),
+}
+
+
+def _usage_exit(argv) -> None:
+    """Print the top-level help or usage error: with no command first in
+    ``argv``, the bare subparsers cannot parse it, so argparse exits."""
     parser = argparse.ArgumentParser(
         prog="agb",
         description="Order-type bounds for one-point evaluation codes, "
                     "computed from numerical-semigroup data.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p_sg = subs.add_parser("semigroup", help="semigroup invariants")
-    p_sg.add_argument("--gens", type=_parse_gens, required=True)
-    p_sg.add_argument("--up-to", type=int, default=None, dest="up_to")
-    p_sg.add_argument("--json", action="store_true")
-
-    p_hs = subs.add_parser("hstar", help="construct and validate a jump set")
-    _add_hstar_flags(p_hs)
-
-    p_b = subs.add_parser("bounds", help="per-index bound table")
-    _add_hstar_flags(p_b)
-
-    p_g = subs.add_parser("ghw", help="generalized-weight bound")
-    _add_hstar_flags(p_g)
-    p_g.add_argument("--r", type=_parse_r, required=True,
-                     help="an integer r, or 'all' for every r <= i")
-    p_g.add_argument("--i", type=int, required=True)
-    p_g.add_argument("--node-cap", type=int, default=bounds_mod.DEFAULT_NODE_CAP,
-                     dest="node_cap")
-
-    p_i = subs.add_parser("improved", help="improved-code profile")
-    _add_hstar_flags(p_i)
-    p_i.add_argument("--delta", type=int, required=True)
-
-    p_c = subs.add_parser("curve", help="built-in evaluation tables")
-    p_c.add_argument("family", choices=["hermitian"])
-    p_c.add_argument("--q0", type=int, required=True)
-    p_c.add_argument("--emit-table", default=None, dest="emit_table")
-    p_c.add_argument("--m", type=int, default=None)
-    p_c.add_argument("--emit-matrix", default=None, dest="emit_matrix")
-    p_c.add_argument("--json", action="store_true")
-
-    p_v = subs.add_parser("verify", help="brute-force cross-validation report")
-    p_v.add_argument("family", choices=["hermitian"])
-    p_v.add_argument("--q0", type=int, required=True)
-    p_v.add_argument("--max-dim", type=int, default=None, dest="max_dim")
-    p_v.add_argument("--ghw", type=int, default=None)
-    p_v.add_argument("--json", action="store_true")
-
-    return parser
+    for name, (help_line, _, _) in _COMMANDS.items():
+        subs.add_parser(name, help=help_line)
+    parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv or argv[0] not in _COMMANDS:
+        _usage_exit(argv)
+    _, add_flags, handler = _COMMANDS[argv[0]]
+    parser = argparse.ArgumentParser(prog=f"agb {argv[0]}")
+    add_flags(parser)
+    args = parser.parse_args(argv[1:])
     try:
-        if args.command == "semigroup":
-            return _cmd_semigroup(args)
-        if args.command == "hstar":
-            return _cmd_hstar(parser, args)
-        if args.command == "bounds":
-            return _cmd_bounds(parser, args)
-        if args.command == "ghw":
-            return _cmd_ghw(parser, args)
-        if args.command == "improved":
-            return _cmd_improved(parser, args)
-        if args.command == "curve":
-            return _cmd_curve(parser, args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        parser.error(f"unknown command {args.command}")
+        return handler(parser, args)
     except AgbError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
@@ -340,7 +369,6 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
-    return 0
 
 
 if __name__ == "__main__":

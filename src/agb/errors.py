@@ -109,8 +109,8 @@ class MatrixShapeMismatch(AgbError, ValueError):
 # -- evalcode ----------------------------------------------------------------
 
 class UnsupportedParameter(AgbError):
-    """A built-in curve family or a verification cap does not cover the
-    requested parameter."""
+    """A built-in curve family, a verification cap or a search's node cap
+    does not cover the requested parameter."""
 
 
 class SchemaError(AgbError):

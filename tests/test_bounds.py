@@ -12,7 +12,8 @@ from agb import (HStar, NumericalSemigroup, a_set, bound_table, d_ord, d_star,
                  improved_profile, l_set_check, lambda_profile, lambda_star)
 from agb.bounds import a_counts_by_index
 from agb.errors import (DeltaOutOfRange, EnumerationCapExceeded,
-                        IndexOutOfRange, NotAMember, NotIsometryDual)
+                        IndexOutOfRange, NotAMember, NotIsometryDual,
+                        UnsupportedParameter)
 
 from conftest import (SUZUKI_TRUE_COUNTS, a_counts_convolved, dense_profile,
                       ghw_bound_naive, profile_counts_per_gap,
@@ -483,6 +484,17 @@ def test_ghw_bound_node_cap(suzuki_hstar):
     with pytest.raises(EnumerationCapExceeded) as exc:
         ghw_bound(suzuki_hstar, 40, 12, node_cap=50)
     assert exc.value.cap == 50
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_ghw_node_cap_below_one_is_unsupported(klein_hstar, cap):
+    # not EnumerationCapExceeded: no search ran out, none was allowed to start
+    with pytest.raises(UnsupportedParameter, match=f"got {cap}"):
+        ghw_bound(klein_hstar, 4, 2, node_cap=cap)
+    with pytest.raises(UnsupportedParameter, match=f"got {cap}"):
+        ghw_table(klein_hstar, [(2, 4), (1, 3)], node_cap=cap)
+    with pytest.raises(UnsupportedParameter):
+        ghw_table(klein_hstar, [], node_cap=cap)
 
 
 def test_ghw_r_near_i_answers_under_small_cap():

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -6,8 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from agb.cli import main
+from agb.cli import _verify_json, main
 
 SUZUKI_ARGS = ["--gens", "8,10,12,13", "--n", "64", "--mode", "equiv-divisor"]
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -229,6 +232,89 @@ def test_usage_error_exit_2(capsys):
     assert exc.value.code == 2
 
 
+COMMANDS = ["semigroup", "hstar", "bounds", "ghw", "improved", "curve",
+            "verify"]
+
+
+@pytest.mark.parametrize("argv", [["--help"]] + [[c, "--help"]
+                                                  for c in COMMANDS])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    if argv == ["--help"]:
+        assert all(c in out for c in COMMANDS)
+    else:
+        assert out.startswith(f"usage: agb {argv[0]} ")
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["-x", "bounds"]])
+def test_missing_or_unknown_command_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: agb [-h] ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["semigroup", "--gens", "3,5"],
+    ["hstar", "--gens", "3,4", "--n", "10", "--mode", "equiv-divisor"],
+    ["bounds", "--gens", "3,4", "--n", "10", "--mode", "equiv-divisor"],
+    ["ghw", "--gens", "3,4", "--n", "10", "--mode", "equiv-divisor",
+     "--r", "2", "--i", "4"],
+    ["improved", "--gens", "3,4", "--n", "10", "--mode", "isometry-dual",
+     "--delta", "3"],
+    ["curve", "hermitian", "--q0", "2"],
+    ["verify", "hermitian", "--q0", "2", "--max-dim", "2"],
+], ids=COMMANDS)
+def test_a_command_builds_one_parser(capsys, monkeypatch, argv):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(argv) == 0
+    assert built == [f"agb {argv[0]}"]
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv",
+                        ["agb", "semigroup", "--gens", "3,5", "--json"])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["genus"] == 4
+
+
+# quotes, backslashes, control and non-ASCII characters, surrogates too
+_TEXT = st.text(st.sampled_from('"\\\n\t\x00\x1f\x7f/é€\U0001d11e\ud800 az'))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_TEXT, st.booleans(), _TEXT)), st.booleans())
+def test_verify_json_writer_matches_json_dumps(records, all_ok):
+    # keys in the order run_verification writes them
+    checks = [{"name": name, "ok": ok, "detail": detail}
+              for name, ok, detail in records]
+    payload = {"checks": checks, "all_ok": all_ok}
+    assert _verify_json(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("command, extra", [("hstar", []),
+                                            ("bounds", ["--json"])])
+@pytest.mark.parametrize("mode", ["equiv-divisor", "isometry-dual"])
+def test_file_in_a_computed_mode_is_usage_error(capsys, command, extra, mode):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--gens", "3,4", "--n", "10", "--mode", mode,
+              "--file", "/nonexistent/x.json", *extra])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"--file does not apply to mode {mode}" in err
+
+
 def test_hstar_file_n_conflict_is_usage_error(capsys, tmp_path):
     f = tmp_path / "m.json"
     f.write_text(json.dumps({"n": 8, "members": [0, 2, 3, 4, 5, 6, 7, 9]}))
@@ -275,6 +361,16 @@ def test_ghw_node_cap_exit_1(capsys):
                                 "--r", "12", "--i", "40", "--node-cap", "50"])
     assert code == 1
     assert err.startswith("EnumerationCapExceeded")
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize("r", ["2", "all"])
+def test_ghw_node_cap_below_one_exit_1(capsys, cap, r):
+    code, out, err = run(capsys, ["ghw", "--gens", "2,3", "--n", "8",
+                                  "--mode", "equiv-divisor", "--r", r,
+                                  "--i", "4", "--node-cap", cap])
+    assert (code, out) == (1, "")
+    assert err == f"UnsupportedParameter: node_cap must be at least 1, got {cap}\n"
 
 
 def test_verify_hermitian_2(capsys):
