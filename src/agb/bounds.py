@@ -6,17 +6,17 @@ bound, the Goppa comparison, the dual-side order bound via A-sets, improved
 code profiles, and the generalized-Hamming-weight extension.
 
 The profile counts come from the shifted-gap identity in O(n*R) time and
-O(n + g) memory, R the number of runs of consecutive gaps; the sets
-themselves are built one index at a time, only where the
-generalized-weight sweep or a caller asks for them.
+O(n + g) memory, R the number of runs of consecutive gaps; only the
+generalized-weight sweep builds the sets themselves, as rows of one array.
 
 A union of the sets at indices j_1..j_r is E ∩ H*, for E the ideal of H
 generated by m_j1..m_jr, so the generalized-weight bounds d*_r(i) come from
-one depth-first sweep over those ideals, which answers every requested
-(r, i) at once.
+one sweep over those ideals, which answers every requested (r, i) at once.
+It takes one level of generators at a time, kept as rows of bits and
+handled as boolean rows in bounded blocks; a child ideal is cut from its
+parent's size and prefix counts before it is built.
 """
 
-from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -32,45 +32,22 @@ DEFAULT_NODE_CAP = 10_000_000
 
 
 class LambdaProfile:
-    """Counts and contents of the sets (m_i + H) intersect H* for i = 1..n.
+    """Counts of the sets (m_i + H) intersect H* for i = 1..n.
 
-    ``counts[i-1]`` is the cardinality at index i.  The set at index i is
-    built on the first ``mask(i)`` or ``lambda_set(i)`` call, as a bitmask
-    over member positions so that union cardinalities (needed for the
-    generalized-weight bound) are a popcount away, and cached from then on.
+    ``counts[i-1]`` is the cardinality at index i.  The sets themselves are
+    built only by the generalized-weight sweep, as rows of one array.
     """
 
-    __slots__ = ("hstar", "counts", "_masks", "_dstar")
+    __slots__ = ("hstar", "counts", "_dstar")
 
     def __init__(self, hstar: HStar, counts: np.ndarray):
         self.hstar = hstar
         self.counts = counts
-        self._masks = {}
         self._dstar = np.minimum.accumulate(counts)
 
     def count(self, i: int) -> int:
         _check_index(self.hstar, i)
         return int(self.counts[i - 1])
-
-    def lambda_set(self, i: int) -> frozenset:
-        """The actual set at index i, as member values."""
-        mask = self.mask(i)
-        members = self.hstar.members
-        return frozenset(members[j] for j in range(i - 1, len(members))
-                         if (mask >> j) & 1)
-
-    def mask(self, i: int) -> int:
-        """Bit j-1 is set iff m_j - m_i is a semigroup member."""
-        _check_index(self.hstar, i)
-        mask = self._masks.get(i)
-        if mask is None:
-            members = self.hstar.members_array()
-            shifts = members[i - 1:] - members[i - 1]
-            ok = self.hstar.semigroup.membership_mask(int(shifts[-1]))[shifts]
-            packed = np.packbits(ok, bitorder="little")
-            mask = int.from_bytes(packed.tobytes(), "little") << (i - 1)
-            self._masks[i] = mask
-        return mask
 
     def d_star(self, i: int) -> int:
         _check_index(self.hstar, i)
@@ -161,9 +138,12 @@ def a_counts_by_index(hs: HStar) -> np.ndarray:
     Of the h + 1 splits t + (h - t), each gap removes one as t and one as
     h - t, and a split into two gaps was removed twice, so #A(h) = h + 1 -
     2 #{gaps <= h} + #{(l, l') gaps : l + l' = h}: the A-set twin of the
-    shifted-gap identity.  With r[k] = gap(2F - k), F the Frobenius number,
-    the pairs at h are the gaps l with r[2F - h + l] set: a shifted-gap
-    count, needed only at the jump values h <= 2F; no two gaps sum to more.
+    shifted-gap identity.  Pairs exist only at h <= 2F, F the Frobenius
+    number.  Each (l, h - l) with l < h/2 is counted once and doubled, and
+    (h/2, h/2) added when h/2 is a gap.  With P the prefix sums of
+    r[k] = gap(2F - k), v = 2F - h and c = ceil(h/2), the l of a run [s, t)
+    of gaps number P[v + t] - P[v + s] where c >= t, one pass per run over
+    those h, and P[v + c] - P[v + s] for the one run with s < c < t, if any.
     """
     S = hs.semigroup
     h = hs.members_array()
@@ -172,9 +152,26 @@ def a_counts_by_index(hs: HStar) -> np.ndarray:
     top = 2 * S.frobenius
     low = np.searchsorted(h, top, side="right")
     if low:
+        h = h[:low]
+        at, half = top - h, (h + 1) // 2
         reversed_gaps = np.zeros(top + 1, dtype=bool)
         reversed_gaps[top - gaps] = True
-        counts[:low] += S.count_shifted_gaps(reversed_gaps, top - h[:low])
+        prefix = np.concatenate(([0], np.cumsum(reversed_gaps)))
+        runs = np.array(S.gap_runs, dtype=np.int64)
+        # the start of the run of gaps holding x, or x itself for a member
+        run_start = np.arange(S.conductor + 1)
+        run_start[gaps] = np.repeat(runs[:, 0], runs[:, 1] - runs[:, 0])
+        pairs = prefix[at + half] - prefix[at + run_start[half]]
+        for (start, stop), lo in zip(S.gap_runs, np.searchsorted(
+                half, runs[:, 1]).tolist()):
+            if lo == low:
+                break
+            v = at[lo:]
+            if stop - start == 1:
+                pairs[lo:] += reversed_gaps[start:][v]
+            else:
+                pairs[lo:] += prefix[stop:][v] - prefix[start:][v]
+        counts[:low] += 2 * pairs + ((h % 2 == 0) & reversed_gaps[at + half])
     return counts
 
 
@@ -238,132 +235,130 @@ def ghw_bound(hs: HStar, i: int, r: int,
     """d*_r(i): the least size of a union of r distinct sets among 1..i.
 
     The one-pair case of :func:`ghw_table`: the same sweep over ideals,
-    pruned against this pair alone.  Visiting more than ``node_cap`` ideals
+    pruned against this pair alone.  Building more than ``node_cap`` ideals
     raises :class:`EnumerationCapExceeded` instead of degrading; a cap below
     1 raises :class:`UnsupportedParameter`.
     """
     _check_node_cap(node_cap)
     _check_pair(hs, r, i)
-    return _ideal_sweep(hs, [(r, i)], node_cap)[r, i]
+    return _ideal_sweep(hs, [(r, i)], node_cap)[0]
 
 
-def _ideal_sweep(hs: HStar, pairs, node_cap: int) -> dict:
-    """d*_r(i) for every requested (r, i), from one pass over ideals of H.
+# elements per array of one block: every array of the sweep but Λ*, the
+# ideals it keeps and the per-pair tables holds one block of rows
+_BLOCK = 1 << 14
 
-    d*_r(i) is the least #(E ∩ H*) over the ideals E generated inside
-    M_i = {m_1..m_i} with #(E ∩ M_i) >= r.  The pass adds generators in
-    increasing index and skips every m_j already in E, which lists each
-    ideal once, by its antichain of generators.  Siblings are tried from the
-    highest index down, so small ideals come first.  Ideals are bitmasks
-    over member positions, ORs of ``LambdaProfile.mask``.
 
+def _ideal_sweep(hs: HStar, pairs, node_cap: int) -> list:
+    """d*_r(i) for each requested (r, i), in order, from one sweep over ideals.
+
+    d*_r(i) is the least #(E ∩ H*) over the ideals E of H generated inside
+    M_i = {m_1..m_i} with #(E ∩ M_i) >= r.  Each ideal is listed once, by
+    its antichain of generators: a child adds to its parent a generator m_j
+    above the parent's last one and outside it.  The sweep takes one level
+    (one more generator) at a time, kept as rows over member positions
+    packed to bits, in blocks: one product of a block of parents with the
+    rows of :func:`_lambda_rows` gives every child's overlap |E ∩ Λ*_j|.
     An ideal whose last generator is m_j counts at every column i >= j for
-    every r <= #(E ∩ M_i).  It enters the table through a short staircase,
-    one step per requested column where that count grows, until it reaches
-    the largest requested r.  ``best[r][c]`` holds the least size that
-    counts for (r, cols[c]) so far, closed under the table's order: it never
-    grows along a row nor falls down a column.
+    every r <= #(E ∩ M_i), and ``best[r, c]`` holds the least size that
+    counts for (r, cols[c]) so far.
 
-    Two cuts bound a subtree.  Ideals only grow down a branch, and the
-    ideals below E count only at columns past its last generator m_j.  They
-    also add no position up to j, so if E misses ``slack`` of the positions
-    1..j they reach #(E' ∩ M_i) <= i - slack at column i.  A subtree is cut
-    once no requested (r, i) it could reach holds a value above its size.
+    A child is cut before it is built.  Its descendants only grow, count
+    only at columns i >= j, and add no position below j: if it misses
+    ``slack`` of the positions 1..j, none of them reaches #(E' ∩ M_i) >
+    i - slack.  So it is built only while its size is below ``cut[slack,
+    j]``, the largest requested value with r <= i - slack at a column
+    i >= j, read off ``best`` when the level began.  The node cap counts
+    the ideals built and is checked before each block of them is allocated.
     """
-    profile = lambda_profile(hs)
-    cols = sorted({i for _, i in pairs})
-    width, imax = len(cols), cols[-1]
-    wanted = [set() for _ in cols]
-    for r, i in pairs:
-        wanted[bisect_left(cols, i)].add(r)
-    wanted = [sorted(rs) for rs in wanted]
-    top = [rs[-1] for rs in wanted]
-    rmax = max(top)
-    first = [bisect_left(cols, p) for p in range(imax + 2)]
-    low = [(1 << i) - 1 for i in cols]
-    window = (1 << imax) - 1
-    counts = [0] + profile.counts[:imax].tolist()
-    best = [None] + [[hs.n + 1] * width for _ in range(rmax)]
-    # size_cap[c]: the largest requested value in columns c.., 0 past the
-    # last; best[top[c]][c] is the largest at column c, as best grows with r
-    size_cap = [hs.n + 1] * width + [0]
-    # spare[c]: the most slack that still reaches every requested r in
-    # columns c.., unbounded past the last
-    spare = [hs.n + 1] * (width + 1)
-    for c in range(width - 1, -1, -1):
-        spare[c] = min(spare[c + 1], cols[c] - top[c])
-
-    def refresh(lo, hi):
-        """Recompute size_cap after ``best`` changed in columns lo..hi-1."""
-        for c in range(hi - 1, -1, -1):
-            cap = max(best[top[c]][c], size_cap[c + 1])
-            if c < lo and cap == size_cap[c]:
-                return
-            size_cap[c] = cap
-
-    def improvable(c, slack, size):
-        """Whether an ideal of this size and slack could still lower a
-        requested value in columns c.. ."""
-        while spare[c] < slack:
-            rs = wanted[c]
-            k = bisect_right(rs, cols[c] - slack)
-            if k and best[rs[k - 1]][c] > size:
-                return True
-            c += 1
-        return size < size_cap[c]
-
+    rs, at = np.array(pairs, dtype=np.int64).T
+    cols, at = np.unique(at, return_inverse=True)
+    width, imax, rmax = len(cols), int(cols[-1]), int(rs.max())
+    lam, outside = _lambda_rows(hs, imax)
+    window = lam.shape[1]
+    lam_t = lam.T.astype(np.float32)
+    lam_sizes = lambda_profile(hs).counts[:imax] - outside
+    # 0-based positions 1..imax; ideals with last generator j + 1 count from
+    # column first[j] on, and below[j, c] says whether j + 1 <= cols[c]
+    positions = np.arange(imax)
+    first = np.searchsorted(cols, positions + 1)
+    below = (positions[:, None] < cols).astype(np.float32)
+    columns = np.arange(width)
+    wanted = np.zeros((rmax + 1, width), dtype=bool)
+    wanted[rs, at] = True
+    # reach[s, c]: the flat index into best of the largest requested r <=
+    # cols[c] - s at column c, or of best[0, c] = 0 if none, as for every
+    # slack past smax
+    largest = np.maximum.accumulate(wanted * np.arange(rmax + 1)[:, None],
+                                    axis=0)
+    smax = int((cols - wanted.argmax(axis=0)).max())
+    reach = largest[np.clip(cols - np.arange(smax + 2)[:, None], 0, rmax),
+                    columns] * width + columns
+    best = np.full((rmax + 1, width), hs.n + 1, dtype=np.int64)
+    best[0] = 0
+    rows_per = max(1, _BLOCK // window)
     nodes = 0
-    # one frame per generator taken: the ideal and the untried positions
-    # above its last generator that it does not contain
-    ideals, untried = [0], [window]
-    while untried:
-        free = untried[-1]
-        if not free:
-            ideals.pop()
-            untried.pop()
-            continue
-        j = free.bit_length()
-        untried[-1] = free ^ (1 << (j - 1))
-        nodes += 1
-        if nodes > node_cap:
-            raise EnumerationCapExceeded(node_cap)
-        # the ideal holds Λ*_j, so a count that large already rules it out,
-        # before its mask is built
-        if counts[j] >= size_cap[first[j]]:
-            continue
-        ideal = ideals[-1] | profile.mask(j)
-        size = ideal.bit_count()
-        # positions 1..j outside the ideal
-        slack = j - size + (ideal >> j).bit_count()
-        if not improvable(first[j], slack, size):
-            continue
-        # the staircase, lowering each row from r = #(E ∩ M_i) down
-        c = dirty = first[j]
-        while True:
-            e = (ideal & low[c]).bit_count()
-            for r in range(e if e < rmax else rmax, 0, -1):
-                row = best[r]
-                if row[c] <= size:
-                    break
-                end = c
-                while end < width and row[end] > size:
-                    row[end] = size
-                    end += 1
-                if end > dirty:
-                    dirty = end
-            if e >= rmax:
-                break
-            rest = ideal >> cols[c]
-            p = cols[c] + (rest & -rest).bit_length()
-            if not rest or p > imax:
-                break
-            c = first[p]
-        if dirty > first[j]:
-            refresh(first[j], dirty)
-        if improvable(first[j + 1], slack, size):
-            ideals.append(ideal)
-            untried.append(window >> j << j & ~ideal)
-    return {(r, i): best[r][bisect_left(cols, i)] for r, i in pairs}
+    # a level is a list of chunks (rows packed to bits, sizes inside the
+    # window, last generators); the first holds the empty ideal alone
+    level = [(np.zeros((1, (window + 7) // 8), dtype=np.uint8),
+              np.zeros(1, np.int64), np.zeros(1, np.int64))]
+    while level:
+        reachable = best.ravel()[reach]
+        cut = (np.maximum.accumulate(reachable[:, ::-1], axis=1)[:, ::-1]
+               [:, first] - outside).ravel()
+        children = []
+        # each chunk holds at most one block of rows
+        for rows, sizes, lasts in level:
+            parents = np.unpackbits(rows, axis=1, count=window,
+                                    bitorder="little").view(bool)
+            overlap = parents.astype(np.float32) @ lam_t
+            inside = np.cumsum(parents[:, :imax], axis=1)
+            p, j = np.nonzero(~parents[:, :imax] & (positions >= lasts[:, None]))
+            size = sizes[p] + lam_sizes[j] - overlap[p, j].astype(np.int64)
+            slack = np.minimum(j - inside[p, j], smax + 1)
+            keep = size < cut[slack * imax + j]
+            p, j, size = p[keep], j[keep], size[keep]
+            for start in range(0, len(p), rows_per):
+                part = slice(start, start + rows_per)
+                nodes += len(p[part])
+                if nodes > node_cap:
+                    raise EnumerationCapExceeded(node_cap)
+                kids = parents[p[part]] | lam[j[part]]
+                # #(E ∩ M_i) at each column, 0 before the last generator,
+                # as a flat index into best
+                count = (kids[:, :imax].astype(np.float32) @ below
+                         ).astype(np.int64)
+                count[cols <= j[part, None]] = 0
+                np.minimum(count, rmax, out=count)
+                low = np.full(best.size, hs.n + 1, dtype=np.int64)
+                np.minimum.at(low, (count * width + columns).ravel(),
+                              np.repeat(size[part] + outside, width))
+                np.minimum(best, np.minimum.accumulate(
+                    low.reshape(best.shape)[::-1], axis=0)[::-1], out=best)
+                children.append((np.packbits(kids, axis=1, bitorder="little"),
+                                 size[part], j[part] + 1))
+        level = children
+    return best[rs, at].tolist()
+
+
+def _lambda_rows(hs: HStar, imax: int) -> tuple:
+    """The sets Λ*_1..Λ*_imax as boolean rows over a window of positions.
+
+    Every ideal generated inside M_imax holds each member m >= m_imax + c,
+    c the conductor, so the window stops before the first of them.  Returns
+    the rows and the number of positions past the window.
+    """
+    members = hs.members_array()
+    window = max(imax, int(np.searchsorted(
+        members, members[imax - 1] + hs.semigroup.conductor)))
+    members = members[:window]
+    in_h = hs.semigroup.membership_mask(int(members[-1]))
+    lam = np.empty((imax, window), dtype=bool)
+    step = max(1, _BLOCK // window)
+    for lo in range(0, imax, step):
+        shifts = members - members[lo:min(lo + step, imax), None]
+        lam[lo:lo + step] = (shifts >= 0) & in_h[np.abs(shifts)]
+    return lam, hs.n - window
 
 
 class BoundTable(NamedTuple):
@@ -404,16 +399,17 @@ class GhwTable(NamedTuple):
 def ghw_table(hs: HStar, pairs, node_cap: int = DEFAULT_NODE_CAP) -> GhwTable:
     """Generalized-weight bounds d*_r(i) for the requested (r, i) pairs.
 
-    One sweep over the ideals of H answers every pair: its generators stop
-    at the largest requested i and its staircase at the largest requested r.
-    Visiting more than ``node_cap`` ideals raises, as does a cap below 1.
+    One sweep over the ideals generated inside {m_1..m_imax}, imax the
+    largest requested i, answers every pair.  Building more than
+    ``node_cap`` ideals raises, as does a cap below 1.
     """
     _check_node_cap(node_cap)
     pairs = [(int(r), int(i)) for r, i in pairs]
     for r, i in pairs:
         _check_pair(hs, r, i)
-    values = _ideal_sweep(hs, pairs, node_cap) if pairs else {}
-    return GhwTable(hs, tuple(GhwEntry(r, i, values[r, i]) for r, i in pairs))
+    values = _ideal_sweep(hs, pairs, node_cap) if pairs else []
+    return GhwTable(hs, tuple(GhwEntry(r, i, value)
+                              for (r, i), value in zip(pairs, values)))
 
 
 def _check_node_cap(node_cap: int) -> None:

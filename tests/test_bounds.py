@@ -3,6 +3,7 @@ from functools import reduce
 from math import gcd
 from operator import or_
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from agb import (HStar, NumericalSemigroup, a_set, bound_table, d_ord, d_star,
                  feng_rao_improved_dim, ghw_bound, ghw_table, goppa_compare,
                  improved_profile, l_set_check, lambda_profile, lambda_star)
-from agb.bounds import a_counts_by_index
+from agb.bounds import _lambda_rows, a_counts_by_index
 from agb.errors import (DeltaOutOfRange, EnumerationCapExceeded,
                         IndexOutOfRange, NotAMember, NotIsometryDual,
                         UnsupportedParameter)
@@ -82,21 +83,28 @@ def test_profile_counts_match_dense_route_over_small_family(small_family):
                     (S, n, hs.mode)
 
 
-def test_lazy_masks_match_dense_route_and_lambda_star(suzuki_hstar,
+def test_sweep_rows_match_dense_route_and_lambda_star(suzuki_hstar,
                                                       klein_hstar):
     S579 = NumericalSemigroup.from_generators([5, 7, 9])
     assert not S579.is_symmetric()
     non_symmetric = HStar.from_equiv_divisor(S579, 40)
     for hs in (suzuki_hstar, klein_hstar, non_symmetric):
-        _, dense_masks = dense_profile(hs)
-        # a fresh profile, its sets asked for from the last index down
-        profile = lambda_profile.__wrapped__(hs)
-        for i in range(hs.n, 0, -1):
-            assert profile.mask(i) == dense_masks[i - 1]
-            assert profile.lambda_set(i) == lambda_star(hs, i)
-            assert len(profile.lambda_set(i)) == profile.count(i)
-        assert [profile.mask(i) for i in range(1, hs.n + 1)] == \
-            list(dense_masks)
+        counts, dense_masks = dense_profile(hs)
+        for i in range(1, hs.n + 1):
+            members = {m for k, m in enumerate(hs.members)
+                       if (dense_masks[i - 1] >> k) & 1}
+            assert members == lambda_star(hs, i)
+            assert len(members) == counts[i - 1] == lambda_profile(hs).count(i)
+        for imax in (1, hs.n // 3, hs.n):
+            rows, outside = _lambda_rows(hs, imax)
+            assert rows.shape == (imax, hs.n - outside)
+            # every position past the window is in each of the sets
+            window = (1 << rows.shape[1]) - 1
+            for i in range(1, imax + 1):
+                assert dense_masks[i - 1] | window == (1 << hs.n) - 1
+                packed = np.packbits(rows[i - 1], bitorder="little")
+                assert int.from_bytes(packed.tobytes(), "little") == \
+                    dense_masks[i - 1] & window
 
 
 def test_a_count_matches_window_count_across_the_switch(small_family):
@@ -162,9 +170,11 @@ def test_profile_memory_stays_linear_at_n_32768():
 
 
 def test_profile_sets_match_lambda_star(klein_hstar):
-    profile = lambda_profile(klein_hstar)
+    _, masks = dense_profile(klein_hstar)
     for i in range(1, klein_hstar.n + 1):
-        assert profile.lambda_set(i) == lambda_star(klein_hstar, i)
+        members = frozenset(m for k, m in enumerate(klein_hstar.members)
+                            if (masks[i - 1] >> k) & 1)
+        assert members == lambda_star(klein_hstar, i)
 
 
 def test_suzuki_counts_frozen(suzuki_hstar):
@@ -404,57 +414,82 @@ def test_ghw_table_matches_subset_brute_force(hs, data):
         assert ghw_bound(hs, i, r) == table[r, i]
 
 
-def recursive_ideal_sweep(hs, pairs):
-    """The sweep over ideals one ideal at a time, recursively.
+def level_ideal_sweep(hs, pairs):
+    """The sweep over ideals one level (one more generator) at a time.
 
-    Visits the antichains of generators in the library's order: the last
-    generator from the highest index down, each new one above the last and
-    outside the ideal so far.  The incumbent of a requested (r, i) is the
-    least size of a visited ideal E with last generator index <= i and
-    #(E ∩ M_i) >= r, found by scanning every visited ideal.  A subtree is
-    cut when its ideal is as large as every incumbent right of its last
-    generator m_j that it can still reach: (r, i) with r <= i - slack, where
-    slack counts the positions 1..j outside the ideal.  Returns the bounds
-    and the number of ideals visited, the count the node cap applies to.
-    Desk scale only.
+    Ideals are bitmasks over member positions, unions of the masks of
+    :func:`dense_profile`.  Level k holds the ideals with k generators, each
+    listed once by its antichain: a child adds to its parent a generator
+    m_j above the parent's last one and outside it.  The incumbent of a
+    requested (r, i) is the least size of a built ideal E with last
+    generator index <= i and #(E ∩ M_i) >= r, found by scanning every built
+    ideal.  A child is built only while its size is below the incumbent,
+    as it stood when its level began, of some requested (r, i) with i >= j
+    and r <= i - slack, where slack counts the positions 1..j outside the
+    child.  Returns the bounds and the number of ideals built, the count
+    the node cap applies to.  Desk scale only.
     """
     _, masks = dense_profile(hs)
     imax = max(i for _, i in pairs)
-    visited = []
+    built = []
 
     def incumbent(r, i):
-        return min((size for size, last, ideal in visited
+        return min((size for size, last, ideal in built
                     if last <= i and bin(ideal % (1 << i)).count("1") >= r),
                    default=hs.n + 1)
 
-    def visit(ideal, last):
-        size = bin(ideal).count("1")
-        visited.append((size, last, ideal))
-        slack = last - bin(ideal % (1 << last)).count("1")
-        right = [incumbent(r, i) for r, i in pairs
-                 if i > last and r <= i - slack]
-        if not right or size >= max(right):
-            return
-        for j in range(imax, last, -1):
-            if not (ideal >> (j - 1)) & 1:
-                visit(ideal | masks[j - 1], j)
-
-    for j in range(imax, 0, -1):
-        visit(masks[j - 1], j)
-    return {(r, i): incumbent(r, i) for r, i in pairs}, len(visited)
+    level = [(0, 0)]
+    while level:
+        values = {(r, i): incumbent(r, i) for r, i in pairs}
+        children = []
+        for ideal, last in level:
+            for j in range(last + 1, imax + 1):
+                if (ideal >> (j - 1)) & 1:
+                    continue
+                child = ideal | masks[j - 1]
+                size = bin(child).count("1")
+                slack = j - bin(child % (1 << j)).count("1")
+                if any(size < value for (r, i), value in values.items()
+                       if i >= j and r <= i - slack):
+                    children.append((child, j))
+        built += [(bin(child).count("1"), j, child) for child, j in children]
+        level = children
+    return {(r, i): incumbent(r, i) for r, i in pairs}, len(built)
 
 
 def test_ghw_node_cap_counts_every_visited_ideal(klein_hstar, suzuki_hstar):
     for hs, pairs in ((klein_hstar, [(2, 9), (3, 12), (4, 15), (6, 20)]),
                       (suzuki_hstar, [(2, 20), (3, 30), (5, 24), (8, 30)])):
         for r, i in pairs:
-            values, ideals = recursive_ideal_sweep(hs, [(r, i)])
+            values, ideals = level_ideal_sweep(hs, [(r, i)])
             assert ghw_bound(hs, i, r, node_cap=ideals) == values[r, i]
             with pytest.raises(EnumerationCapExceeded):
                 ghw_bound(hs, i, r, node_cap=ideals - 1)
-        values, ideals = recursive_ideal_sweep(hs, pairs)
+        values, ideals = level_ideal_sweep(hs, pairs)
         table = ghw_table(hs, pairs, node_cap=ideals)
         assert {(e.r, e.i): e.bound for e in table.entries} == values
+        with pytest.raises(EnumerationCapExceeded):
+            ghw_table(hs, pairs, node_cap=ideals - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_jump_sets(), st.data())
+def test_ghw_table_matches_naive_and_level_reference(hs, data):
+    # sparse (r, i) sets: gaps between the requested columns and rows
+    columns = data.draw(st.lists(st.integers(1, hs.n), min_size=1,
+                                 max_size=5, unique=True))
+    pairs = [(r, i) for i in columns
+             for r in data.draw(st.lists(st.integers(1, i), min_size=1,
+                                         max_size=4, unique=True))]
+    table = ghw_table(hs, pairs)
+    assert [(e.r, e.i) for e in table.entries] == pairs
+    values, ideals = level_ideal_sweep(hs, pairs)
+    for e in table.entries:
+        assert e.bound == values[e.r, e.i], (e.r, e.i)
+        if e.i <= 12:
+            assert e.bound == ghw_bound_naive(hs, e.i, e.r), (e.r, e.i)
+    ghw_table(hs, pairs, node_cap=ideals)
+    if ideals > 1:
         with pytest.raises(EnumerationCapExceeded):
             ghw_table(hs, pairs, node_cap=ideals - 1)
 

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -479,6 +480,22 @@ def test_deep_ghw_search_hits_node_cap_not_recursion_limit():
                              "--mode", "equiv-divisor", "--r", "1500",
                              "--i", "1600", "--node-cap", "10000"],
                             "EnumerationCapExceeded")
+
+
+def test_ghw_node_cap_bounds_the_sweep_memory(capsys):
+    # the cap is checked before each block of ideals is allocated, so the
+    # rows kept stay within it: tracemalloc sees numpy's buffers too
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, ["ghw", "--gens", "16,17", "--n", "4096",
+                                    "--mode", "equiv-divisor", "--r", "1500",
+                                    "--i", "1600", "--node-cap", "10000"])
+        peak_mib = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert err.startswith("EnumerationCapExceeded: ")
+    assert peak_mib < 64
 
 
 def test_reader_closing_stdout_early_exits_cleanly():
