@@ -6,7 +6,8 @@ table at a budget m yields the generator matrix of the code at m; one ``rref``
 per table finds the chain rows, measures every dimension and so recovers the
 jump set empirically, with no curve machinery at runtime, and one more
 inverts the chain rows, for every dual, the isometry witness and the
-biorthogonal rows.  Built-in constructor: Hermitian curves for q0 = 2, 3, 4.
+biorthogonal rows.  Built-in constructor: Hermitian curves for every q0 = p^e
+whose field GF(q0^2) ``agb.gf`` supports: 2, 3, 4, 5, 7, 9, 11 and 13.
 """
 
 import json
@@ -16,8 +17,9 @@ import numpy as np
 
 from . import bounds
 from .errors import (BudgetOutOfRange, InvariantViolation, NotIsometryDual,
-                     SchemaError, UnreadableFile, UnsupportedParameter,
-                     UnwritableFile, ZeroPivot, _json_int)
+                     SchemaError, UnreadableFile, UnsupportedField,
+                     UnsupportedParameter, UnwritableFile, ZeroPivot,
+                     _json_int)
 from .generic_bound import CodeChain
 from .gf import FieldMatrix, FiniteField, field, field_array, rref
 from .hstar import HStar
@@ -105,8 +107,22 @@ class OnePointCode(NamedTuple):
     dimension: int
 
 
-# q0 -> (p, k) of the field GF(q0^2) of each built-in Hermitian curve
-_HERMITIAN_FIELDS = {2: (2, 2), 3: (3, 2), 4: (2, 4)}
+def _hermitian_field(q0) -> FiniteField:
+    """GF(q0^2) as GF(p^(2e)) for q0 = p^e, when ``agb.gf`` supports it;
+    every other q0 raises UnsupportedParameter (past 16, q0^2 > 256)."""
+    if isinstance(q0, (int, np.integer)) and 2 <= q0 <= 16:
+        p = next(d for d in range(2, q0 + 1) if q0 % d == 0)
+        e = 1
+        while p ** e < q0:
+            e += 1
+        if p ** e == q0:
+            try:
+                return field(p, 2 * e)
+            except UnsupportedField:
+                pass
+    raise UnsupportedParameter(
+        f"q0 must be a prime power whose square field agb.gf supports "
+        f"(2, 3, 4, 5, 7, 9, 11 or 13), got {q0!r}")
 
 
 def hermitian_table(q0: int) -> EvaluationTable:
@@ -114,28 +130,21 @@ def hermitian_table(q0: int) -> EvaluationTable:
 
     Points are the q0^3 affine solutions in lexicographic (x, y) order;
     functions are the monomials x^a y^b with 0 <= b < q0, one per pole order
-    a*q0 + b*(q0+1) in the semigroup generated by q0 and q0+1.
+    a*q0 + b*(q0+1) in the semigroup generated by q0 and q0+1.  Both come
+    from array steps over the field's power table.
     """
-    if q0 not in _HERMITIAN_FIELDS:
-        raise UnsupportedParameter(f"q0 must be 2, 3 or 4, got {q0}")
-    fld = field(*_HERMITIAN_FIELDS[q0])
-    pts = []
-    for x in fld.elements():
-        rhs = fld.pow(x, q0 + 1)
-        for y in fld.elements():
-            if fld.add(fld.pow(y, q0), y) == rhs:
-                pts.append((x, y))
+    fld = _hermitian_field(q0)
+    elems = np.arange(fld.q)
+    lhs = fld.add_arrays(fld.pow_arrays(elems, q0), elems)
+    px, py = np.nonzero(fld.pow_arrays(elems, q0 + 1)[:, None] == lhs)
     S = NumericalSemigroup.from_generators((q0, q0 + 1))
-    n = len(pts)
-    top = n + 2 * S.genus - 1
-    functions = []
-    for pole in S.elements_up_to(top):
-        b = pole % q0
-        a = (pole - b * (q0 + 1)) // q0
-        row = [fld.mul(fld.pow(x, a), fld.pow(y, b)) for x, y in pts]
-        functions.append((pole, row))
-    labels = [f"({x},{y})" for x, y in pts]
-    return EvaluationTable(fld, labels, functions, S)
+    poles = S.elements_up_to(len(px) + 2 * S.genus - 1)
+    column = np.array(poles)[:, None]
+    b = column % q0
+    a = (column - b * (q0 + 1)) // q0
+    values = fld.mul_arrays(fld.pow_arrays(px, a), fld.pow_arrays(py, b))
+    labels = [f"({x},{y})" for x, y in zip(px.tolist(), py.tolist())]
+    return EvaluationTable(fld, labels, zip(poles, values), S)
 
 
 def code(table: EvaluationTable, m: int) -> OnePointCode:

@@ -64,36 +64,41 @@ class CodeChain:
 
     # -- well-behaving structure ----------------------------------------
 
-    def _wbp_table(self) -> np.ndarray:
-        """Boolean table: wbp[i, j] iff the pair (b_i, b_j) is well-behaving.
+    def _wbp_table(self, rows: int | None = None) -> np.ndarray:
+        """Boolean table, levels 0..rows (all n by default): wbp[i, j] iff
+        the pair (b_i, b_j) is well-behaving.
 
         A pair qualifies when nu of its componentwise product strictly exceeds
         nu of every product over dominated index pairs (r, s) with r <= i,
-        s <= j, (r, s) != (i, j).  All n^2 products get their nu at once, and
-        running maxima down rows, then along columns, give every rectangle.
+        s <= j, (r, s) != (i, j).  Row i reads only the products of b_1..b_i
+        with every b_j, so rows 1..i take i * n of them, each given its nu at
+        once; running maxima down rows, then along columns, give every
+        rectangle.  The tallest table built is kept, and a shorter one is
+        its first rows.
         """
-        if self._wbp is None:
+        rows = self.n if rows is None else rows
+        if self._wbp is None or self._wbp.shape[0] <= rows:
             n = self.n
-            prods = self.field.mul_arrays(self.basis[:, None, :],
+            prods = self.field.mul_arrays(self.basis[:rows, None, :],
                                           self.basis[None, :, :])
-            table = np.full((n + 1, n + 1), -1, dtype=np.int64)
+            table = np.full((rows + 1, n + 1), -1, dtype=np.int64)
             table[1:, 1:] = self._levels(prods)
             rect = np.maximum.accumulate(np.maximum.accumulate(table, axis=0),
                                          axis=1)
-            wbp = np.zeros((n + 1, n + 1), dtype=bool)
+            wbp = np.zeros((rows + 1, n + 1), dtype=bool)
             wbp[1:, 1:] = table[1:, 1:] > np.maximum(rect[:-1, 1:], rect[1:, :-1])
             self._wbp = wbp
-        return self._wbp
+        return self._wbp[:rows + 1]
 
     def lambda_counts(self) -> np.ndarray:
         """Well-behaving partner counts per level, index 1..n (entry 0 unused)."""
         return self._wbp_table().sum(axis=1)
 
     def generic_bound(self, i: int) -> int:
-        """Minimum well-behaving count over levels r <= i; bounds d(C_i)."""
+        """Minimum well-behaving count over levels r <= i; bounds d(C_i).
+        Reads rows 1..i of the table only."""
         self._check_index(i)
-        counts = self.lambda_counts()
-        return int(counts[1: i + 1].min())
+        return int(self._wbp_table(i)[1:].sum(axis=1).min())
 
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.n:

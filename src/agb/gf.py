@@ -8,7 +8,9 @@ t^k from the last; the modulus is the least monic one whose table has no
 zero divisors, which for a finite ring means a field.  ``inv`` and ``pow``
 read a q x (q-1) power table filled from the product table.  The vectorized
 variants cover whole numpy arrays so exhaustive searches stay cheap; they add
-by XOR in characteristic 2, where that beats a table read.  :func:`rref`, a
+by XOR in characteristic 2, where that beats a table read.  ``matmul`` is
+one gather of the products of a block of rows and a pairwise sum of them,
+with no loop over the inner dimension.  :func:`rref`, a
 Gauss-Jordan pass whose loop runs over columns, is the one elimination:
 ranks, dual codes, code chains and measured dimensions are all read off it.
 Every array holds its elements as one byte, the type ``ELEMENT``.
@@ -26,6 +28,7 @@ from .errors import (DivisionByZero, InvariantViolation, MatrixShapeMismatch,
 _SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
 _MAX_ORDER = 256
 ELEMENT = np.uint8  # the one type of a field element; q <= _MAX_ORDER fits
+_MATMUL_BLOCK = 1 << 16  # entries of one gather of products in matmul
 
 
 def _mul_table(p: int, k: int, modulus: int) -> np.ndarray:
@@ -134,23 +137,48 @@ class FiniteField:
         y = np.asarray(y, dtype=ELEMENT)
         return self._gather(self._mul, x, y)
 
+    def pow_arrays(self, x, e):
+        """Elementwise x^e with broadcasting, for integer exponents e, read
+        off the power table; 0^0 = 1 and 0^e = 0 for e > 0."""
+        x = np.asarray(x, dtype=ELEMENT)
+        e = np.asarray(e)
+        zero = x == 0
+        if (zero & (e < 0)).any():
+            raise DivisionByZero("zero to a negative power")
+        return np.where(zero & (e > 0), ELEMENT(0),
+                        self._pow[x, e % (self.q - 1)])
+
     def scale_array(self, lam: int, x):
         """lam times each entry of x."""
         return self._mul[lam][np.asarray(x, dtype=ELEMENT)]
 
     def matmul(self, a, b):
-        """Field matrix product of 2-D arrays (r x k) @ (k x n)."""
+        """Field matrix product of 2-D arrays (r x K) @ (K x n).
+
+        Each block of rows gathers all its products a[i, j] * b[j, l] at
+        once, shape (rows, K, n) with about _MATMUL_BLOCK entries, and sums
+        them over K by pairwise halving: the last half is added onto the
+        first, and an odd middle term waits for the next round.
+        """
         a = np.asarray(a, dtype=ELEMENT)
         b = np.asarray(b, dtype=ELEMENT)
         if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
             raise MatrixShapeMismatch(
                 f"cannot multiply shapes {a.shape} and {b.shape}")
-        out = np.zeros((a.shape[0], b.shape[1]), dtype=ELEMENT)
-        for j in range(a.shape[1]):
-            col = a[:, j]
-            if not col.any():
-                continue
-            out = self.add_arrays(out, self.mul_arrays(col[:, None], b[j][None, :]))
+        (r, K), n = a.shape, b.shape[1]
+        out = np.zeros((r, n), dtype=ELEMENT)
+        if K == 0:
+            return out
+        step = max(1, _MATMUL_BLOCK // (K * n or 1))
+        for lo in range(0, r, step):
+            terms = self.mul_arrays(a[lo:lo + step, :, None], b)
+            width = K
+            while width > 1:
+                half = width // 2
+                terms[:, :half] = self.add_arrays(terms[:, :half],
+                                                  terms[:, width - half:width])
+                width -= half
+            out[lo:lo + step] = terms[:, 0]
         return out
 
     # -- plumbing -------------------------------------------------------

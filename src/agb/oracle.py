@@ -121,7 +121,9 @@ def _least_support(fld: FiniteField, rows: np.ndarray, r: int) -> int:
             differ = block != heads[:, :, h:h + 1]
             # at r = 1 the one plane is the support; any() would copy it
             support = differ[0] if r == 1 else differ.any(axis=0)
-            best = min(best, int(support.sum(axis=0, dtype=count).min()))
+            # as bytes, the sum skips a cast of each bool to count
+            plane = support.view(np.uint8)
+            best = min(best, int(plane.sum(axis=0, dtype=count).min()))
     return best
 
 

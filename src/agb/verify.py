@@ -58,12 +58,15 @@ def run_verification(table: evalcode.EvaluationTable, max_dim: int | None = None
     def searchable(dim, r=1):
         return 0 < dim <= cap_dim and budget.fits(dim, r, q)
 
-    for m, dim in enumerate(evalcode.measured_dimensions(table)):
-        if not searchable(dim):
-            continue
+    checked = [(m, dim) for m, dim in
+               enumerate(evalcode.measured_dimensions(table)) if searchable(dim)]
+    # largest first: the chain keeps the rows 1..D it measures for the
+    # largest checked dimension D, and every smaller one reads them
+    generic = {dim: chain.generic_bound(dim) for _, dim in reversed(checked)}
+    for m, dim in checked:
         d_true = true_weight(tuple(range(dim)))
         ds = profile.d_star(dim)
-        gb = chain.generic_bound(dim)
+        gb = generic[dim]
         record(f"dstar-m{m}", d_true >= ds,
                f"dim {dim}: true {d_true} >= bound {ds}")
         record(f"generic-m{m}", d_true >= gb,

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from agb import FieldMatrix, HStar, NumericalSemigroup, hermitian_table, rref
+from agb import (FieldMatrix, HStar, NumericalSemigroup, field,
+                 hermitian_table, rref)
 from agb.errors import (ClosureViolation, DependentInput, LowRangeMismatch,
                         MatrixShapeMismatch, NotSubsetOfH, WrongCardinality)
+from agb.evalcode import EvaluationTable
 from agb.hstar import _require_length
 
 # #Λ*_i for i = 1..64 on the Suzuki jump set over <8,10,12,13>, n = 64.
@@ -179,6 +181,46 @@ def span_reference(fld, rows):
     words = reduce(fld.add_arrays, np.moveaxis(terms, 1, 0),
                    np.zeros((fld.q ** k, rows.shape[1]), dtype=np.int32))
     return {tuple(int(v) for v in word) for word in words}
+
+
+def matmul_reference(fld, a, b):
+    """Field matrix product by plain Python, one scalar sum per entry; the
+    reference for ``FiniteField.matmul``."""
+    inner, cols = np.shape(b)
+    a = np.asarray(a).tolist()
+    b = np.asarray(b).tolist()
+    out = [[0] * cols for _ in a]
+    for i, row in enumerate(a):
+        for j in range(cols):
+            for t in range(inner):
+                out[i][j] = fld.add(out[i][j], fld.mul(row[t], b[t][j]))
+    return out
+
+
+# q0 -> (p, k) of GF(q0^2), written out for the per-point reference
+HERMITIAN_FIELDS = {2: (2, 2), 3: (3, 2), 4: (2, 4), 5: (5, 2)}
+
+
+def hermitian_table_per_point(q0):
+    """The Hermitian table by scalar field calls, one point and one value at
+    a time; the reference for ``hermitian_table``'s array steps."""
+    fld = field(*HERMITIAN_FIELDS[q0])
+    pts = []
+    for x in fld.elements():
+        rhs = fld.pow(x, q0 + 1)
+        for y in fld.elements():
+            if fld.add(fld.pow(y, q0), y) == rhs:
+                pts.append((x, y))
+    S = NumericalSemigroup.from_generators((q0, q0 + 1))
+    top = len(pts) + 2 * S.genus - 1
+    functions = []
+    for pole in S.elements_up_to(top):
+        b = pole % q0
+        a = (pole - b * (q0 + 1)) // q0
+        row = [fld.mul(fld.pow(x, a), fld.pow(y, b)) for x, y in pts]
+        functions.append((pole, row))
+    labels = [f"({x},{y})" for x, y in pts]
+    return EvaluationTable(fld, labels, functions, S)
 
 
 def dot(fld, u, v) -> int:

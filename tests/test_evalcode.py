@@ -14,7 +14,7 @@ from agb.errors import (BudgetOutOfRange, DeltaOutOfRange, InvariantViolation,
 from agb.evalcode import EvaluationTable, chain_matrix, measured_dimensions
 from agb.bounds import improved_profile, lambda_profile
 
-from conftest import dot, star
+from conftest import HERMITIAN_FIELDS, dot, hermitian_table_per_point, star
 
 
 def test_hermitian_q0_2_shape(herm2_table):
@@ -56,9 +56,39 @@ def test_hermitian_points_satisfy_curve(herm2_table, herm3_table, herm4_table):
 
 
 def test_hermitian_unsupported_parameter():
-    for q0 in (1, 5, 9):
+    # 6 is no prime power; GF(64) and GF(256) are beyond agb.gf
+    for q0 in (1, 6, 8, 16):
         with pytest.raises(UnsupportedParameter):
             hermitian_table(q0)
+
+
+@pytest.mark.parametrize("q0", sorted(HERMITIAN_FIELDS))
+def test_hermitian_table_matches_per_point_reference(q0):
+    t, ref = hermitian_table(q0), hermitian_table_per_point(q0)
+    assert t.field == ref.field
+    assert t.points == ref.points
+    assert t.semigroup.generators == ref.semigroup.generators
+    assert [f.pole_order for f in t.functions] == \
+        [f.pole_order for f in ref.functions]
+    for row, ref_row in zip(t.functions, ref.functions):
+        assert np.array_equal(row.values, ref_row.values)
+
+
+@pytest.mark.parametrize("q0, p, k", [(5, 5, 2), (7, 7, 2), (9, 3, 4),
+                                      (11, 11, 2), (13, 13, 2)])
+def test_hermitian_builds_every_supported_field(q0, p, k):
+    t = hermitian_table(q0)
+    assert (t.field.p, t.field.k) == (p, k)
+    assert t.n == q0 ** 3
+    assert t.genus == q0 * (q0 - 1) // 2
+    assert t.semigroup.generators == (q0, q0 + 1)
+
+
+@pytest.mark.parametrize("q0", [5, 7])
+def test_hermitian_measured_jump_set_pinned(q0):
+    S = NumericalSemigroup.from_generators((q0, q0 + 1))
+    assert empirical_hstar(hermitian_table(q0)) == \
+        HStar.from_equiv_divisor(S, q0 ** 3)
 
 
 def test_code_dimensions(herm2_table):

@@ -79,6 +79,34 @@ def test_well_behaving_matches_definition_on_random_chain():
                     assert wbp[i - 1, j - 1] == expected
 
 
+def test_generic_bound_in_any_order_is_running_minimum():
+    # each chain keeps the tallest table asked for, so a shuffled order
+    # mixes reads of kept rows with taller rebuilds
+    rng = random.Random(2718)
+    for p, k in ((2, 1), (3, 1), (2, 2), (3, 2), (5, 1)):
+        fld = field(p, k)
+        for n in range(1, 9):
+            basis = random_invertible(fld, n, rng)
+            counts = CodeChain(fld, basis).lambda_counts()
+            expected = np.minimum.accumulate(counts[1:]).tolist()
+            chain = CodeChain(fld, basis)
+            order = list(range(1, n + 1))
+            rng.shuffle(order)
+            got = {i: chain.generic_bound(i) for i in order}
+            assert [got[i] for i in range(1, n + 1)] == expected
+            assert chain.lambda_counts().tolist() == counts.tolist()
+
+
+def test_wbp_rows_are_the_first_rows_of_the_full_table():
+    rng = random.Random(1618)
+    fld = field(3, 2)
+    basis = random_invertible(fld, 7, rng)
+    full = CodeChain(fld, basis)._wbp_table()
+    for rows in range(8):
+        assert np.array_equal(CodeChain(fld, basis)._wbp_table(rows),
+                              full[:rows + 1])
+
+
 def test_nu_matches_rank_reference_on_random_chains():
     rng = random.Random(8080)
     for p, k in ((2, 1), (3, 1), (2, 2), (3, 2)):

@@ -1,18 +1,19 @@
 import json
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agb import FieldMatrix, code, dual, field, rref
+from agb import FieldMatrix, code, dual, field, gf, rref
 from agb.errors import (AgbError, DivisionByZero, InvariantViolation,
                         MatrixShapeMismatch, UnsupportedField)
 from agb.evalcode import chain_matrix, code_chain
 from agb.gf import ELEMENT
 
-from conftest import dot, span_reference
+from conftest import dot, matmul_reference, span_reference
 
 PINNED = {(2, 1): 2, (2, 2): 7, (2, 3): 11, (2, 4): 19,
           (3, 1): 3, (3, 2): 10, (3, 3): 34, (3, 4): 86,
@@ -208,6 +209,53 @@ def test_matmul_matches_naive():
             assert prod[i, j] == acc
 
 
+@st.composite
+def matmul_case(draw):
+    """A field, operands (r x K) @ (K x n) over it, and a block size small
+    enough that the rows often span several blocks."""
+    p, k = draw(st.sampled_from(SUPPORTED_FIELDS))
+    rows, inner, cols = (draw(st.integers(0, 6)), draw(st.integers(0, 9)),
+                         draw(st.integers(0, 5)))
+    entries = st.integers(0, p ** k - 1)
+    a = draw(st.lists(entries, min_size=rows * inner, max_size=rows * inner))
+    b = draw(st.lists(entries, min_size=inner * cols, max_size=inner * cols))
+    return (field(p, k), np.array(a, dtype=int).reshape(rows, inner),
+            np.array(b, dtype=int).reshape(inner, cols),
+            draw(st.integers(1, 64)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(matmul_case())
+def test_matmul_matches_plain_python(case):
+    f, a, b, block = case
+    with mock.patch.object(gf, "_MATMUL_BLOCK", block):
+        prod = f.matmul(a, b)
+    assert prod.dtype == ELEMENT
+    assert prod.tolist() == matmul_reference(f, a, b)
+
+
+@pytest.mark.parametrize("p, k", SUPPORTED_FIELDS)
+def test_matmul_inner_dimensions_even_odd_and_empty(p, k):
+    # K = 0 gives zeros; K = 1 sums nothing; odd K leaves a middle term
+    # for the next halving
+    f = field(p, k)
+    rng = np.random.default_rng(p * 10 + k)
+    for inner in (0, 1, 2, 3, 4, 5, 7, 8, 9, 16):
+        a = rng.integers(0, f.q, (4, inner))
+        b = rng.integers(0, f.q, (inner, 3))
+        assert f.matmul(a, b).tolist() == matmul_reference(f, a, b)
+
+
+def test_matmul_rows_beyond_one_default_block():
+    # K * n = 129 * 256 entries leave room for one row per block
+    f = field(3, 1)
+    rng = np.random.default_rng(5)
+    a = rng.integers(0, 3, (3, 129))
+    b = rng.integers(0, 3, (129, 256))
+    assert gf._MATMUL_BLOCK // (129 * 256) == 1
+    assert f.matmul(a, b).tolist() == matmul_reference(f, a, b)
+
+
 def test_matmul_rejects_mismatched_shapes():
     # unchecked, the first drops the third row of b and the second raises
     # a bare IndexError
@@ -227,6 +275,27 @@ def test_inv_arrays_matches_scalar_inverse(p, k):
     assert f.inv_arrays(nonzero).tolist() == [f.inv(int(a)) for a in nonzero]
     with pytest.raises(DivisionByZero):
         f.inv_arrays([1, 0])
+
+
+@pytest.mark.parametrize("p, k", SUPPORTED_FIELDS)
+def test_pow_arrays_matches_repeated_products(p, k):
+    # exponents past q - 1 wrap for nonzero bases, never for zero; negative
+    # ones are powers of the inverse and undefined at zero
+    f = field(p, k)
+    exps = np.arange(f.q + 2)
+    expected = []
+    for a in f.elements():
+        row, acc = [], 1
+        for _ in exps:
+            row.append(acc)
+            acc = f.mul(acc, a)
+        expected.append(row)
+    assert f.pow_arrays(np.arange(f.q)[:, None], exps).tolist() == expected
+    nonzero = np.arange(1, f.q)
+    assert f.pow_arrays(nonzero, -2).tolist() == \
+        [f.mul(f.inv(int(a)), f.inv(int(a))) for a in nonzero]
+    with pytest.raises(DivisionByZero):
+        f.pow_arrays([1, 0], [2, -1])
 
 
 def test_rref_identity_and_zero():

@@ -5,7 +5,8 @@ import sys
 import pytest
 
 from agb import bounds, gf
-from agb import evalcode, hermitian_table, load_table, oracle, save_table
+from agb import (CodeChain, evalcode, hermitian_table, load_table, oracle,
+                 save_table)
 from agb.errors import UnsupportedParameter
 from agb.verify import run_verification
 
@@ -67,6 +68,27 @@ def test_gf4_ghw_run_searches_each_distinct_code_once(monkeypatch):
     assert calls == {"distance": 8, "hierarchy": 13, "chain_passes": 1,
                      "rref": 2, "listings": 16}
     assert all(c["ok"] for c in checks)
+
+
+def test_generic_bound_measures_only_the_checked_rows(monkeypatch):
+    # d(C_1..C_7) are checked, so nu is read for the products of rows 1..7
+    # with all 27 rows, not for all 27^2 of them
+    measured = []
+    levels = CodeChain._levels
+
+    def counting(self, vectors):
+        measured.append(vectors.size // self.n)
+        return levels(self, vectors)
+
+    monkeypatch.setattr(CodeChain, "_levels", counting)
+    checks = run_verification(hermitian_table(3), max_dim=7)
+    assert sum(measured) == 7 * 27
+    assert [c for c in checks if c["name"].startswith("generic-")]
+
+
+def test_q0_5_passes_every_record():
+    checks = run_verification(hermitian_table(5), max_dim=3)
+    assert checks and all(c["ok"] for c in checks)
 
 
 def test_planted_improved_matrix_gets_its_own_search(monkeypatch):
