@@ -241,7 +241,7 @@ def ghw_bound(hs: HStar, i: int, r: int,
     """
     _check_node_cap(node_cap)
     _check_pair(hs, r, i)
-    return _ideal_sweep(hs, [(r, i)], node_cap)[0]
+    return _ideal_sweep(hs, np.array([(r, i)], dtype=np.int64), node_cap)[0]
 
 
 # elements per array of one block: every array of the sweep but Λ*, the
@@ -249,8 +249,9 @@ def ghw_bound(hs: HStar, i: int, r: int,
 _BLOCK = 1 << 14
 
 
-def _ideal_sweep(hs: HStar, pairs, node_cap: int) -> list:
-    """d*_r(i) for each requested (r, i), in order, from one sweep over ideals.
+def _ideal_sweep(hs: HStar, pairs: np.ndarray, node_cap: int) -> list:
+    """d*_r(i) for each requested (r, i), the rows of an int64 array, in
+    order, from one sweep over ideals.
 
     d*_r(i) is the least #(E ∩ H*) over the ideals E of H generated inside
     M_i = {m_1..m_i} with #(E ∩ M_i) >= r.  Each ideal is listed once, by
@@ -271,7 +272,7 @@ def _ideal_sweep(hs: HStar, pairs, node_cap: int) -> list:
     i >= j, read off ``best`` when the level began.  The node cap counts
     the ideals built and is checked before each block of them is allocated.
     """
-    rs, at = np.array(pairs, dtype=np.int64).T
+    rs, at = pairs.T
     cols, at = np.unique(at, return_inverse=True)
     width, imax, rmax = len(cols), int(cols[-1]), int(rs.max())
     lam, outside = _lambda_rows(hs, imax)
@@ -400,16 +401,27 @@ def ghw_table(hs: HStar, pairs, node_cap: int = DEFAULT_NODE_CAP) -> GhwTable:
     """Generalized-weight bounds d*_r(i) for the requested (r, i) pairs.
 
     One sweep over the ideals generated inside {m_1..m_imax}, imax the
-    largest requested i, answers every pair.  Building more than
-    ``node_cap`` ideals raises, as does a cap below 1.
+    largest requested i, answers every pair.  The pairs are converted and
+    checked as one int64 array, which the sweep reads as it is; the first
+    bad pair raises IndexOutOfRange, an entry past int64 included.
+    Building more than ``node_cap`` ideals raises, as does a cap below 1.
     """
     _check_node_cap(node_cap)
-    pairs = [(int(r), int(i)) for r, i in pairs]
-    for r, i in pairs:
-        _check_pair(hs, r, i)
-    values = _ideal_sweep(hs, pairs, node_cap) if pairs else []
-    return GhwTable(hs, tuple(GhwEntry(r, i, value)
-                              for (r, i), value in zip(pairs, values)))
+    pairs = list(pairs)
+    try:
+        pairs = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)
+    except OverflowError:
+        # no index that large is in range: the first bad pair raises
+        for r, i in pairs:
+            _check_pair(hs, int(r), int(i))
+        raise
+    rs, at = pairs.T
+    bad = (rs < 1) | (rs > at) | (at > hs.n)
+    if bad.any():
+        # the first bad pair raises the class and message of its own check
+        _check_pair(hs, *pairs[bad.argmax()].tolist())
+    values = _ideal_sweep(hs, pairs, node_cap) if len(pairs) else []
+    return GhwTable(hs, tuple(map(GhwEntry, rs.tolist(), at.tolist(), values)))
 
 
 def _check_node_cap(node_cap: int) -> None:

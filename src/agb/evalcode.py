@@ -4,7 +4,7 @@ An :class:`EvaluationTable` holds, for every pole order up to n+2g-1, the
 values of one function with that pole order at n fixed points.  Truncating the
 table at a budget m yields the generator matrix of the code at m; one ``rref``
 per table finds the chain rows, measures every dimension and so recovers the
-jump set empirically, with no curve machinery at runtime, and one more
+jump set empirically, with no curve machinery at runtime; the same one
 inverts the chain rows, for every dual, the isometry witness and the
 biorthogonal rows.  Built-in constructor: Hermitian curves for every q0 = p^e
 whose field GF(q0^2) ``agb.gf`` supports: 2, 3, 4, 5, 7, 9, 11 and 13.
@@ -48,7 +48,7 @@ class EvaluationTable:
     """
 
     __slots__ = ("field", "points", "functions", "semigroup", "_pivots",
-                 "_hstar", "_chain", "_code_chain")
+                 "_inverse", "_hstar", "_chain", "_code_chain")
 
     def __init__(self, fld: FiniteField, points, functions,
                  semigroup: NumericalSemigroup):
@@ -59,7 +59,8 @@ class EvaluationTable:
             for po, vals in functions
         )
         self.semigroup = semigroup
-        self._pivots = self._hstar = self._chain = self._code_chain = None
+        self._pivots = self._inverse = self._hstar = None
+        self._chain = self._code_chain = None
         self._check()
 
     @property
@@ -158,11 +159,20 @@ def code(table: EvaluationTable, m: int) -> OnePointCode:
 
 
 def _chain_pivots(table: EvaluationTable) -> list[int]:
-    """Indices of the chain rows, those that raise the rank: the pivots of
-    one ``rref`` of the transpose, kept on the table, which never changes."""
+    """Indices of the chain rows, those that raise the rank, from one
+    ``rref`` of [rows^T | I], kept on the table, which never changes.
+
+    Its pivots among the first columns are those of the transpose alone.
+    When they are n, the row operations E in its last n columns satisfy
+    E B^T = I for the chain rows B, so B^-1 = E^T, kept too.
+    """
     if table._pivots is None:
         rows = table.rows_up_to(table.top_order)
-        table._pivots = list(rref(FieldMatrix(table.field, rows.T)).pivots)
+        total = len(rows)
+        augmented = np.hstack([rows.T, np.eye(table.n, dtype=rows.dtype)])
+        red = rref(FieldMatrix(table.field, augmented))
+        table._pivots = [c for c in red.pivots if c < total]
+        table._inverse = red.matrix.data[:, total:].T
     return table._pivots
 
 
@@ -293,8 +303,10 @@ def load_table(path) -> EvaluationTable:
 
 
 def code_chain(table: EvaluationTable) -> CodeChain:
-    """Code chain over the empirical jump rows, its one inverse taken once
-    and kept on the table; see :mod:`agb.generic_bound`."""
+    """Code chain over the empirical jump rows, kept on the table; its
+    inverse is the one the chain pass found, so building it eliminates
+    nothing; see :mod:`agb.generic_bound`."""
     if table._code_chain is None:
-        table._code_chain = CodeChain(table.field, chain_matrix(table).data)
+        table._code_chain = CodeChain._of_inverse(
+            table.field, chain_matrix(table).data, table._inverse)
     return table._code_chain

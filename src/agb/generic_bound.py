@@ -19,17 +19,32 @@ class CodeChain:
     """Full-rank ordered basis of F_q^n with coordinates from one inverse."""
 
     def __init__(self, fld: FiniteField, basis):
-        self.field = fld
-        self.basis = FieldMatrix(fld, basis).data
-        n = self.n = self.basis.shape[0]
-        if self.basis.shape[1] != n:
+        basis = FieldMatrix(fld, basis).data
+        n = basis.shape[0]
+        if basis.shape[1] != n:
             raise DependentInput("a chain needs n independent vectors of length n")
         # [B | I] reduces to [I | B^-1] exactly when B is invertible
-        augmented = np.hstack([self.basis, np.eye(n, dtype=int)])
+        augmented = np.hstack([basis, np.eye(n, dtype=int)])
         red = rref(FieldMatrix(fld, augmented))
         if red.pivots != tuple(range(n)):
             raise DependentInput("basis vectors are linearly dependent")
-        self._inverse = red.matrix.data[:, n:]
+        self._set(fld, basis, red.matrix.data[:, n:])
+
+    @classmethod
+    def _of_inverse(cls, fld: FiniteField, basis: np.ndarray,
+                    inverse: np.ndarray) -> "CodeChain":
+        """The chain of a basis whose inverse the caller has found already,
+        from an elimination of its own; nothing is checked again."""
+        chain = cls.__new__(cls)
+        chain._set(fld, basis, inverse)
+        return chain
+
+    def _set(self, fld: FiniteField, basis: np.ndarray,
+             inverse: np.ndarray) -> None:
+        self.field = fld
+        self.basis = basis
+        self.n = basis.shape[0]
+        self._inverse = inverse
         self._wbp = None
 
     def nu(self, v) -> int:

@@ -16,13 +16,17 @@ def run_verification(table: evalcode.EvaluationTable, max_dim: int | None = None
 
     Every code checked is a set of chain rows, keyed by their indices (the
     first k for the chain code of dimension k, the indices of
-    ``bounds.improved_profile`` for an improved code).  Its basis is those
-    rows and its dual the columns of the chain's one inverse outside them,
-    so no search eliminates.  One ``oracle.CodeSearch`` per index set keeps
-    the dual's least supports across r, and true weights are kept under
-    (indices, r): records that check the same code at the same r share one
-    search.  ``None`` means no cap and no GHW checks; a given ``max_dim``
-    or ``ghw_r`` below 1 raises UnsupportedParameter.
+    ``bounds.improved_profile`` for an improved code), and its duals come
+    from the chain's one inverse B^-1, so no search eliminates.  One
+    ``oracle.CodeSearch`` over the chain rows answers C_1..C_n, so each of
+    their subspaces is listed once; its Wei route lists the columns of B^-1
+    in reverse order, whose first n - k span the dual of C_k.  An improved
+    code that is no chain code gets a search of its own, asked only at its
+    whole basis, its dual the columns of B^-1 outside its rows.  True
+    weights are kept under (indices, r): records that check the same code
+    at the same r share one query.  ``None`` means no cap and no GHW
+    checks; a given ``max_dim`` or ``ghw_r`` below 1 raises
+    UnsupportedParameter.
     """
     for name, value in (("max_dim", max_dim), ("ghw_r", ghw_r)):
         if value is not None and value < 1:
@@ -40,15 +44,18 @@ def run_verification(table: evalcode.EvaluationTable, max_dim: int | None = None
     record("hstar-matches-construction", hs == ref,
            f"measured jumps {list(hs.members)}")
 
-    rows = evalcode.chain_matrix(table).data
     chain = evalcode.code_chain(table)
+    nested = oracle.CodeSearch(table.field, chain.basis,
+                               lambda: chain.dual_rows(())[::-1])
 
     def true_weight(idx, r=1):
-        if idx not in searches:
-            searches[idx] = oracle.CodeSearch(
-                table.field, rows[list(idx)], lambda: chain.dual_rows(idx))
         if (idx, r) not in weights:
-            weights[idx, r] = searches[idx].weight(r, budget)
+            if idx != tuple(range(len(idx))) and idx not in searches:
+                searches[idx] = oracle.CodeSearch(
+                    table.field, chain.basis[list(idx)],
+                    lambda: chain.dual_rows(idx))
+            search = searches.get(idx, nested)
+            weights[idx, r] = search.weight(r, len(idx), budget)
         return weights[idx, r]
 
     profile = bounds.lambda_profile(hs)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from agb import (HStar, NumericalSemigroup, a_set, bound_table, d_ord, d_star,
                  feng_rao_improved_dim, ghw_bound, ghw_table, goppa_compare,
                  improved_profile, l_set_check, lambda_profile, lambda_star)
-from agb.bounds import _lambda_rows, a_counts_by_index
+from agb.bounds import _check_pair, _lambda_rows, a_counts_by_index
 from agb.errors import (DeltaOutOfRange, EnumerationCapExceeded,
                         IndexOutOfRange, NotAMember, NotIsometryDual,
                         UnsupportedParameter)
@@ -564,6 +564,25 @@ def test_bound_table_d_ord_column_matches_running_min(klein_hstar):
         val = int(acounts[klein_hstar.n - i])
         best = val if best is None else min(best, val)
         assert dord == best == ds
+
+
+@pytest.mark.parametrize("pairs", [
+    [(1, 5), (0, 3), (4, 2)],
+    [(2, 5), (3, 2), (1, 24)],
+    [(1, 24), (0, 3)],
+    [(1, 5), (2, 2 ** 70)],
+    [(-2 ** 70, 3), (1, 24)],
+    [(np.int64(1), np.uint8(30))],
+])
+def test_ghw_table_raises_for_the_first_bad_pair(klein_hstar, pairs):
+    # the pairs are checked as one array, but the error is the one the
+    # per-pair check gives on the first bad pair, whatever its size
+    with pytest.raises(IndexOutOfRange) as expected:
+        for r, i in pairs:
+            _check_pair(klein_hstar, int(r), int(i))
+    with pytest.raises(IndexOutOfRange) as exc:
+        ghw_table(klein_hstar, pairs)
+    assert str(exc.value) == str(expected.value)
 
 
 def test_ghw_table(klein_hstar):

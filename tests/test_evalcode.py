@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from agb import (FieldMatrix, HStar, NumericalSemigroup, biorthogonal_adjust,
-                 code, code_chain, empirical_hstar, field,
-                 find_isometry_vector, hermitian_table, improved_generators,
-                 load_table, min_distance, rref, save_table)
+                 code, code_chain, empirical_hstar, evalcode, field,
+                 find_isometry_vector, generic_bound, hermitian_table,
+                 improved_generators, load_table, min_distance, rref,
+                 save_table)
 from agb.errors import (BudgetOutOfRange, DeltaOutOfRange, InvariantViolation,
                         MalformedChain, NotIsometryDual, SchemaError,
                         UnreadableFile, UnsupportedParameter, UnwritableFile,
                         ZeroPivot)
 from agb.evalcode import EvaluationTable, chain_matrix, measured_dimensions
+from agb.verify import run_verification
 from agb.bounds import improved_profile, lambda_profile
 
 from conftest import HERMITIAN_FIELDS, dot, hermitian_table_per_point, star
@@ -486,3 +488,43 @@ def test_biorthogonal_adjust_gf9(herm3_table):
     anti[np.arange(n), np.arange(n)[::-1]] = True
     assert (gram[anti] != 0).all()
     assert (gram[~anti] == 0).all()
+
+
+@pytest.mark.parametrize("q0", [2, 3, 4, 5])
+def test_one_elimination_gives_the_pivots_and_the_inverse(monkeypatch, q0):
+    # the chain pass reduces [rows^T | I] once: its pivots are those of the
+    # transpose alone, and the chain built after it inverts B with no
+    # elimination of its own
+    table = hermitian_table(q0)
+    fld, n = table.field, table.n
+    rows = table.rows_up_to(table.top_order)
+    pivots = list(rref(FieldMatrix(fld, rows.T)).pivots)
+    calls = []
+    for mod in (evalcode, generic_bound):
+        monkeypatch.setattr(mod, "rref",
+                            lambda M, real=rref: calls.append(1) or real(M))
+    dims = measured_dimensions(table)
+    chain = code_chain(table)
+    assert len(calls) == 1
+    assert dims == np.searchsorted(
+        [table.functions[j].pole_order for j in pivots],
+        range(table.top_order + 1), "right").tolist()
+    assert (chain.basis == rows[pivots]).all()
+    inverse = chain.dual_rows(()).T
+    assert (fld.matmul(chain.basis, inverse) == np.eye(n)).all()
+
+
+def test_rank_deficient_table_has_no_chain():
+    # two equal points leave the table rank n - 1, so the one elimination
+    # finds too few pivots and no chain, verification included, is built
+    herm = hermitian_table(2)
+    functions = []
+    for f in herm.functions:
+        values = f.values.copy()
+        values[1] = values[0]
+        functions.append((f.pole_order, values))
+    table = EvaluationTable(herm.field, herm.points, functions, herm.semigroup)
+    assert measured_dimensions(table)[-1] == herm.n - 1
+    for fn in (empirical_hstar, chain_matrix, code_chain, run_verification):
+        with pytest.raises(MalformedChain):
+            fn(table)

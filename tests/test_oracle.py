@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from agb import (CodeChain, FieldMatrix, SearchBudget, code, code_chain, dual,
                  empirical_hstar, field, find_isometry_vector, hermitian_table,
                  min_distance, oracle, rref, weight_hierarchy)
+from agb.gf import field_array
 from agb.errors import (AgbError, BudgetExceeded, IndexOutOfRange,
                         InvalidSearchBudget, ZeroInFirstRow)
 from agb.evalcode import chain_matrix
@@ -630,6 +631,138 @@ def test_chain_inverse_search_matches_rref_search(tables, case):
     M = FieldMatrix(table.field, rows)
     assert [search.weight(r) for r in range(1, len(idx) + 1)] == \
         [weight_hierarchy(M, r) for r in range(1, len(idx) + 1)]
+
+
+@st.composite
+def invertible_bases(draw):
+    """A random invertible n x n basis over GF(2), GF(3), GF(4) or GF(9),
+    the largest n per field keeping a one-code search of every prefix to a
+    few thousand subspaces."""
+    p, e, most = draw(st.sampled_from([(2, 1, 10), (3, 1, 8), (2, 2, 7),
+                                       (3, 2, 6)]))
+    fld = field(p, e)
+    n = draw(st.integers(1, most))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    while True:
+        rows = rng.integers(0, fld.q, (n, n))
+        if rref(FieldMatrix(fld, rows)).rank == n:
+            return fld, field_array(fld, rows)
+
+
+def prefix_search(fld, rows, built=None):
+    """The search over the prefixes of an invertible basis, as ``agb
+    verify`` builds it: its dual rows are the columns of B^-1 in reverse
+    order, whose first n - k span the dual of rows[:k].  Each build of the
+    dual is appended to ``built``."""
+    chain = CodeChain(fld, rows)
+
+    def dual():
+        if built is not None:
+            built.append(len(rows))
+        return chain.dual_rows(())[::-1]
+
+    return oracle.CodeSearch(fld, rows, dual)
+
+
+@settings(max_examples=100, deadline=None)
+@given(invertible_bases(), st.randoms(use_true_random=False),
+       st.sampled_from([1, 6, 64, 8192]))
+def test_prefix_search_matches_one_code_searches(case, rng, target):
+    # every (k, r) of one search, asked in a shuffled order, against a
+    # one-code search of rows[:k] at the default block size; a small
+    # _BLOCK_TARGET moves the free coefficients between block and heads.
+    # From n = 3 on, some prefix k = n - 1 goes through the Wei route at
+    # r = 1, so the dual chain is built, once
+    fld, rows = case
+    n = len(rows)
+    expected = {(k, r): weight_hierarchy(FieldMatrix(fld, rows[:k]), r)
+                for k in range(1, n + 1) for r in range(1, k + 1)}
+    queries = list(expected)
+    rng.shuffle(queries)
+    built = []
+    search = prefix_search(fld, rows, built)
+    with mock.patch.object(oracle, "_BLOCK_TARGET", target):
+        assert {(k, r): search.weight(r, k) for k, r in queries} == expected
+    assert built == ([n] if n >= 3 else [])
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_matrices(fields=[(2, 1), (3, 1), (2, 2)], max_rows=6)
+       | field_matrices(fields=[(3, 2)], max_rows=4))
+def test_matrix_search_answers_every_prefix(M):
+    # of_matrix lists the prefixes of the reduced rows; its dual rows are
+    # the nullspace and the unit vectors at the pivots, last first, so the
+    # Wei route is right for a prefix too, not only for the whole basis
+    search = oracle.CodeSearch.of_matrix(M)
+    basis = search.basis
+    fld, n = M.field, M.ncols
+    dual_rows = search._dual()
+    assert rref(FieldMatrix(fld, dual_rows)).rank == n
+    for k in range(1, len(basis) + 1):
+        assert not fld.matmul(basis[:k], dual_rows[:n - k].T).any()
+    assert {(k, r): search.weight(r, k)
+            for k in range(len(basis), 0, -1) for r in range(1, k + 1)} == \
+        {(k, r): weight_hierarchy(FieldMatrix(M.field, basis[:k]), r)
+         for k in range(1, len(basis) + 1) for r in range(1, k + 1)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(invertible_bases())
+def test_large_prefix_first_lists_no_subspace_twice(case):
+    # the whole basis first, then every smaller prefix: the small ones read
+    # the least supports kept per row, so no (rank, row) of the basis or of
+    # the dual chain is listed twice, and asking everything again lists
+    # nothing
+    fld, rows = case
+    n = len(rows)
+    search = prefix_search(fld, rows)
+    listed = []
+    real = oracle._least_support
+
+    def recording(fld_, rows_, scaled, r, row, blocks):
+        listed.append((rows_ is rows, r, row))
+        return real(fld_, rows_, scaled, r, row, blocks)
+
+    queries = [(k, r) for k in range(n, 0, -1) for r in range(1, k + 1)]
+    with mock.patch.object(oracle, "_least_support", recording):
+        first = [search.weight(r, k) for k, r in queries]
+        assert len(listed) == len(set(listed))
+        before = len(listed)
+        assert [search.weight(r, k) for k, r in queries] == first
+        assert len(listed) == before
+    assert first == [weight_hierarchy(FieldMatrix(fld, rows[:k]), r)
+                     for k, r in queries]
+
+
+def test_prefix_search_lists_the_largest_direct_prefix_once(herm2_table):
+    # C_4 of the GF(4) Hermitian chain asked at every r before C_3..C_1:
+    # the search lists the [4, r]_4 subspaces of C_4 once per rank, and the
+    # smaller codes add none
+    basis = code_chain(herm2_table).basis
+    search = prefix_search(herm2_table.field, basis)
+    listed = []
+    real = oracle._least_support
+
+    def counting(fld, rows, scaled, r, row, blocks):
+        listed.append(gaussian_binomial(row + 1, r, fld.q)
+                      - gaussian_binomial(row, r, fld.q))
+        return real(fld, rows, scaled, r, row, blocks)
+
+    with mock.patch.object(oracle, "_least_support", counting):
+        assert [search.weight(r, 4) for r in range(1, 5)] == [4, 6, 7, 8]
+        assert sum(listed) == sum(gaussian_binomial(4, r, 4)
+                                  for r in range(1, 5))
+        before = len(listed)
+        assert [search.weight(1, k) for k in (3, 2, 1)] == [5, 6, 8]
+        assert len(listed) == before
+
+
+def test_prefix_search_rejects_a_prefix_past_the_basis(herm2_table):
+    search = prefix_search(herm2_table.field, code_chain(herm2_table).basis)
+    with pytest.raises(IndexOutOfRange):
+        search.weight(1, 9)
+    with pytest.raises(IndexOutOfRange):
+        search.weight(3, 2)
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
-"""run_verification: one measured chain per table, one search per distinct code."""
+"""run_verification: one elimination per table, one listing of each subspace
+of a chain."""
 
 import sys
 
@@ -12,13 +13,16 @@ from agb.verify import run_verification
 
 
 def counted_run(monkeypatch, table, **kwargs):
-    """Run the verification, counting searches, kernel calls and eliminations.
+    """Run the verification, counting searches, listed subspaces and
+    eliminations.
 
     A search is one call of ``oracle.CodeSearch.weight``, a distance at
-    r = 1 and a hierarchy above, and a listing is one call of the kernel
-    ``oracle._least_support``.  ``rref`` counts every call, from every module
-    that imports it; a chain pass is one of those made inside
-    ``agb.evalcode``.
+    r = 1 and a hierarchy above.  Each call of the kernel
+    ``oracle._least_support`` at rank r and row j lists the r-subspaces of
+    a (j + 1)-dimensional space outside a j-dimensional one, [j + 1, r]_q -
+    [j, r]_q of them, and "listings" sums those.  ``rref`` counts every
+    call, from every module that imports it; a chain pass is one of those
+    made inside ``agb.evalcode``.
     """
     calls = {"distance": 0, "hierarchy": 0, "chain_passes": 0, "rref": 0,
              "listings": 0}
@@ -36,9 +40,15 @@ def counted_run(monkeypatch, table, **kwargs):
         calls["distance" if r == 1 else "hierarchy"] += 1
         return weight(self, r, *args, **kw)
 
+    least_support = oracle._least_support
+
+    def counted_least_support(fld, rows, scaled, r, row, blocks):
+        calls["listings"] += (oracle.gaussian_binomial(row + 1, r, fld.q)
+                              - oracle.gaussian_binomial(row, r, fld.q))
+        return least_support(fld, rows, scaled, r, row, blocks)
+
     monkeypatch.setattr(oracle.CodeSearch, "weight", counted_weight)
-    monkeypatch.setattr(oracle, "_least_support",
-                        counting(["listings"], oracle._least_support))
+    monkeypatch.setattr(oracle, "_least_support", counted_least_support)
     rref = gf.rref
     for mod in [m for name, m in sys.modules.items()
                 if name.split(".")[0] == "agb"
@@ -49,24 +59,28 @@ def counted_run(monkeypatch, table, **kwargs):
 
 
 def test_gf9_run_searches_each_distinct_code_once(monkeypatch):
-    # 20 records read true distances, but only 7 distinct row spaces exist;
-    # the two eliminations are the chain pass and the chain's inverse
+    # 20 records read true distances, but only 7 distinct row spaces exist,
+    # all prefixes of the chain: the words of C_1..C_6 lie in C_7, so the
+    # run lists the [7, 1]_9 = (9^7 - 1) / 8 monic words of C_7 alone.  The
+    # one elimination is the chain pass, which also inverts the chain
     checks, calls = counted_run(monkeypatch, hermitian_table(3), max_dim=7)
     assert calls == {"distance": 7, "hierarchy": 0, "chain_passes": 1,
-                     "rref": 2, "listings": 7}
+                     "rref": 1, "listings": (9 ** 7 - 1) // 8}
+    assert calls["listings"] == 597_871
     assert all(c["ok"] for c in checks)
 
 
 def test_gf4_ghw_run_searches_each_distinct_code_once(monkeypatch):
     # the GHW queries at r = 1 are the 8 chain codes the distance records
-    # have searched already; each of the 13 at r >= 2 gets its own search.
-    # The 10 listings at r = 1 are C_1..C_4 directly and every rank of the
-    # duals of C_5, C_6 and C_7; at r >= 2 only the 6 direct searches on
-    # C_2..C_4 list anything, as the Wei step on C_5..C_7 reads the dual
-    # ranks listed before
+    # have queried already; each of the 13 at r >= 2 is a query of its own.
+    # C_1..C_4 are listed directly, at r = 1..4 the [4, r]_4 = 85, 357, 85
+    # and 1 subspaces of C_4; C_5..C_7 go through the Wei route, whose dual
+    # chain lists the [3, s]_4 = 21, 21 and 1 subspaces of C_5⊥ once; C_8
+    # has no dual to list
     checks, calls = counted_run(monkeypatch, hermitian_table(2), ghw_r=4)
     assert calls == {"distance": 8, "hierarchy": 13, "chain_passes": 1,
-                     "rref": 2, "listings": 16}
+                     "rref": 1, "listings": 85 + 357 + 85 + 1 + 21 + 21 + 1}
+    assert calls["listings"] == 571
     assert all(c["ok"] for c in checks)
 
 
